@@ -11,6 +11,7 @@ those decides the verdict in O(n^3) coin operations.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .core import (
@@ -26,6 +27,10 @@ from .core import (
 )
 
 
+class InternalDisagreementError(RuntimeError):
+    """Two verdict routes disagreed on the same system."""
+
+
 def _ceil_div(a: int, b: int) -> int:
     return (a + b - 1) // b
 
@@ -33,30 +38,24 @@ def _ceil_div(a: int, b: int) -> int:
 # ---------- brute-force referee ----------
 
 
-def _min_counterexample(values: tuple[int, ...], cap: int = DEFAULT_VALUE_CAP) -> int | None:
-    """Smallest amount where greedy beats optimal is impossible, or None.
+def _scan_from(
+    values: tuple[int, ...], dp: list[int], grd: list[int], start: int
+) -> int | None:
+    """Resume the oracle scan of values at start; the first counterexample.
 
-    Scans every amount below c(n-1)+cn; no counterexample can be that large,
-    so a clean sweep proves the system orderly.  Amounts at or below c3 are
-    scanned as well even though none of them can fail, which keeps this
-    routine a referee that assumes nothing about where failures live.
+    dp and grd hold the optimal and greedy counts of every amount below
+    start, none of which may fail; both grow in place up to the returned
+    amount.  None means no failure below c(n-1)+cn: the system is orderly.
     """
-    n = len(values)
-    if n <= 2:
-        return None
     hi = values[-2] + values[-1]
-    if hi - 1 > cap:
-        raise ResourceLimitError(f"scan bound {hi - 1} exceeds the DP table cap {cap}")
     coins = values[1:]
-    dp = [0] * hi
-    grd = [0] * hi
-    ptr = 0
-    top = n - 1
-    for v in range(1, hi):
+    top = len(values) - 1
+    ptr = bisect_right(values, start) - 1
+    for v in range(start, hi):
         if ptr < top and values[ptr + 1] <= v:
             ptr += 1
         g = grd[v - values[ptr]] + 1
-        grd[v] = g
+        grd.append(g)
         best = dp[v - 1] + 1
         for c in coins:
             if c > v:
@@ -64,10 +63,27 @@ def _min_counterexample(values: tuple[int, ...], cap: int = DEFAULT_VALUE_CAP) -
             cand = dp[v - c] + 1
             if cand < best:
                 best = cand
-        dp[v] = best
+        dp.append(best)
         if g > best:
             return v
     return None
+
+
+def _min_counterexample(values: tuple[int, ...], cap: int = DEFAULT_VALUE_CAP) -> int | None:
+    """Smallest amount where greedy is not optimal, or None when orderly.
+
+    Runs _scan_from from amount 1 over every amount below c(n-1)+cn; no
+    counterexample can be that large, so a clean sweep proves the system
+    orderly.  Amounts at or below c3 are scanned as well even though none of
+    them can fail, which keeps this routine a referee that assumes nothing
+    about where failures live.  The sweeps resume _scan_from instead.
+    """
+    if len(values) <= 2:
+        return None
+    hi = values[-2] + values[-1]
+    if hi - 1 > cap:
+        raise ResourceLimitError(f"scan bound {hi - 1} exceeds the DP table cap {cap}")
+    return _scan_from(values, [0], [0], 1)
 
 
 def min_counterexample_oracle(
@@ -182,8 +198,8 @@ def is_orderly(system: CoinSystem, *, cap: int = DEFAULT_VALUE_CAP) -> Canonical
     if _candidate_verdict(system.values):
         return CanonicalityReport(orderly=True, witness=None)
     w = _min_counterexample(system.values, cap)
-    if w is None:  # pragma: no cover - the two tests agree on all inputs
-        raise AssertionError(f"candidate test and oracle disagree on {system}")
+    if w is None:
+        raise InternalDisagreementError(f"candidate test and oracle disagree on {system}")
     return CanonicalityReport(orderly=False, witness=_witness(system, w))
 
 
@@ -205,6 +221,18 @@ class OnePointVerdict:
     orderly: bool
 
 
+def _one_point(values: tuple[int, ...]) -> tuple[bool, int, int]:
+    """One-point test of values, whose prefix values[:-1] is orderly.
+
+    Returns (orderly, m, g): greedy spends g coins on m*c(n-1), where
+    m = ceil(cn/c(n-1)).  values is orderly iff g <= m; otherwise m*c(n-1)
+    is a counterexample.
+    """
+    m = _ceil_div(values[-1], values[-2])
+    g = _greedy_count(values, m * values[-2])
+    return g <= m, m, g
+
+
 def one_point_check(
     prefix: CoinSystem, c_new: int, *, verify_prefix: bool = True
 ) -> OnePointVerdict:
@@ -219,11 +247,8 @@ def one_point_check(
         raise ValueError(f"new coin {c_new} must exceed the current largest {values[-1]}")
     if verify_prefix and not _candidate_verdict(values):
         raise ValueError(f"prefix {prefix} is not orderly")
-    extended = values + (c_new,)
-    m = _ceil_div(c_new, values[-1])
-    target = m * values[-1]
-    g = _greedy_count(extended, target)
-    return OnePointVerdict(m=m, target=target, greedy_count=g, orderly=g <= m)
+    orderly, m, g = _one_point(values + (c_new,))
+    return OnePointVerdict(m=m, target=m * values[-1], greedy_count=g, orderly=orderly)
 
 
 # ---------- tightness and pairwise counterexamples ----------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .canonicality import _candidate_verdict, _ceil_div
+from .canonicality import _candidate_verdict, _ceil_div, _one_point
 from .core import CoinSystem, Pattern, _greedy_count
 
 
@@ -35,14 +35,6 @@ def _orderly3(c2: int, c3: int) -> bool:
     return m * c2 - m <= d
 
 
-def _one_point(values: tuple[int, ...], upto: int) -> bool:
-    """Extension verdict: values[:upto] orderly assumed, test values[:upto+1]."""
-    last = values[upto - 1]
-    c_new = values[upto]
-    m = _ceil_div(c_new, last)
-    return _greedy_count(values[: upto + 1], m * last) <= m
-
-
 def orderly4(system: CoinSystem) -> bool:
     """Whether a 4-value system is orderly (equivalently: totally orderly)."""
     values = system.values
@@ -52,7 +44,7 @@ def orderly4(system: CoinSystem) -> bool:
 
 
 def _orderly4(values: tuple[int, ...]) -> bool:
-    return _orderly3(values[1], values[2]) and _one_point(values, 3)
+    return _orderly3(values[1], values[2]) and _one_point(values)[0]
 
 
 def orderly5(system: CoinSystem) -> bool:
@@ -71,7 +63,7 @@ def _orderly5(values: tuple[int, ...]) -> bool:
     a = values[2]
     if values[1] == 2 and a >= 4 and values[3] == a + 1 and values[4] == 2 * a:
         return True
-    return _orderly4(values[:4]) and _one_point(values, 4)
+    return _orderly4(values[:4]) and _one_point(values)[0]
 
 
 def is_totally_orderly(system: CoinSystem) -> bool:
@@ -85,8 +77,8 @@ def is_totally_orderly(system: CoinSystem) -> bool:
 
 
 def _totally_orderly(values: tuple[int, ...]) -> bool:
-    for upto in range(2, len(values)):
-        if not _one_point(values, upto):
+    for k in range(3, len(values) + 1):
+        if not _one_point(values[:k])[0]:
             return False
     return True
 
@@ -204,7 +196,7 @@ def _classify6(values: tuple[int, ...]) -> tuple[str, dict[str, int] | None]:
                 return "1c", {"a": a, "b": b}
 
     # 3: orderly 5-prefix extended by one more coin
-    if _orderly5(values[:5]) and _one_point(values, 5):
+    if _orderly5(values[:5]) and _one_point(values)[0]:
         if _orderly4(values[:4]):
             return "3-totally", None
         return "3-plusminusplus", None

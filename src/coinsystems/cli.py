@@ -335,6 +335,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "jobs", 1) < 1:
+        parser.error(f"argument --jobs: must be at least 1, got {args.jobs}")
     try:
         return args.func(args)
     except InternalDisagreementError as exc:

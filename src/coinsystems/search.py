@@ -3,14 +3,16 @@
 Enumeration is lexicographic over (c2, ..., cn) drawn from 2..max_cn.  The
 census walks the enumeration as a prefix tree so each prefix verdict is
 computed once: an orderly prefix is extended by a single greedy evaluation,
-and a non-orderly prefix with a known failing amount w stays non-orderly,
-with the same w, under any new coin larger than w (no representation of an
-amount below the new coin can use it).  Only extensions by a coin at or
-below w need a fresh oracle scan.  A deterministic sample of verdicts is
-re-checked against the oracle as the sweep runs.
+and a non-orderly prefix carries its minimal failing amount w and the oracle
+tables up to w.  Under a new coin larger than w it stays non-orderly with
+the same w (no representation of an amount below the new coin can use it).
+Under a coin c at or below w the oracle scan resumes at c from the parent's
+tables cut at c, since adding c changes no count below c.  A deterministic
+sample of verdicts is re-checked against a from-scratch oracle scan.
 
-The conjecture scan looks for systems whose pattern is (+++-...-+).  Inside
-a subtree where every added coin exceeds the inherited failing amount w, all
+The conjecture scan looks for systems whose pattern is (+++-...-+).  It
+scans each non-orderly 4-prefix once and resumes below it as the census
+does.  Inside a subtree where every added coin exceeds the inherited w, all
 leaves stay non-orderly, so no finding can appear and the subtree is
 skipped; every emitted finding is re-verified per prefix by the oracle.
 """
@@ -21,13 +23,10 @@ import multiprocessing
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .canonicality import _candidate_verdict, _min_counterexample, gap_filter, jump_filter
+from .canonicality import InternalDisagreementError, _candidate_verdict, _min_counterexample
+from .canonicality import _one_point, _scan_from, gap_filter, jump_filter
 from .core import CoinSystem, _greedy_count, _opt_table
 from .families import FamilyParams, family_membership
-
-
-class InternalDisagreementError(RuntimeError):
-    """A fast verdict disagreed with the oracle during a sweep."""
 
 
 @dataclass(frozen=True)
@@ -82,27 +81,11 @@ def _fingerprint(values: tuple[int, ...]) -> int:
     return h
 
 
-def _extend_verdict(
-    child: tuple[int, ...], parent_orderly: bool, parent_w: int | None
-) -> tuple[bool, int | None]:
-    """Orderliness of child = parent + one coin, with a failing amount.
-
-    Returns (orderly, w) where w is some counterexample of child (not
-    necessarily minimal) whenever child is not orderly.
-    """
-    if parent_orderly:
-        last = child[-2]
-        c_new = child[-1]
-        m = (c_new + last - 1) // last
-        target = m * last
-        if _greedy_count(child, target) <= m:
-            return True, None
-        # greedy spends more than m coins on target, so target itself fails
-        return False, target
-    if child[-1] > parent_w:
-        return False, parent_w
-    w = _min_counterexample(child)
-    return w is None, w
+def _extend_verdict(child: tuple[int, ...]) -> tuple[bool, int | None]:
+    """Orderliness of child = an orderly parent + one coin, with a failing
+    amount (not necessarily minimal) whenever child is not orderly."""
+    orderly, m, _ = _one_point(child)
+    return orderly, None if orderly else m * child[-2]
 
 
 def _spot_check(values: tuple[int, ...], orderly: bool, w: int | None) -> None:
@@ -134,19 +117,33 @@ def _census_partition(args: tuple[int, int, int, int]) -> dict[str, int]:
     n, max_cn, c2, sample_mod = args
     counts: dict[str, int] = {}
 
-    def rec(values: tuple[int, ...], marks: str, orderly: bool, w: int | None) -> None:
+    def rec(values, marks, w, dp, grd, h) -> None:
+        # w is None when values is orderly; otherwise it is the minimal
+        # counterexample and, if values has children, dp and grd reach w
         if len(values) == n:
             counts[marks] = counts.get(marks, 0) + 1
             return
         remaining = n - len(values) - 1
         for c in range(values[-1] + 1, max_cn - remaining + 1):
             child = values + (c,)
-            o2, w2 = _extend_verdict(child, orderly, w)
-            if sample_mod and _fingerprint(child) % sample_mod == 0:
-                _spot_check(child, o2, w2)
-            rec(child, marks + ("+" if o2 else "-"), o2, w2)
+            cdp, cgrd = dp, grd
+            if w is None:
+                orderly, w2 = _extend_verdict(child)
+                if not orderly and remaining:
+                    cdp, cgrd = [0], [0]
+                    w2 = _scan_from(child, cdp, cgrd, 1)
+            elif c > w:
+                w2 = w
+            else:
+                cdp, cgrd = dp[:c], grd[:c]
+                w2 = _scan_from(child, cdp, cgrd, c)
+            # FNV-1a of child, folded on from the parent's hash
+            ch = ((h ^ c) * 16777619) & 0xFFFFFFFF
+            if sample_mod and ch % sample_mod == 0:
+                _spot_check(child, w2 is None, w2)
+            rec(child, marks + ("+" if w2 is None else "-"), w2, cdp, cgrd, ch)
 
-    rec((1, c2), "++", True, None)
+    rec((1, c2), "++", None, None, None, _fingerprint((1, c2)))
     return counts
 
 
@@ -216,46 +213,41 @@ def _scan_partition(args: tuple[int, int, int, int]) -> list[tuple[int, ...]]:
     n, max_cn, c2, sample_mod = args
     found: list[tuple[int, ...]] = []
 
-    def leaf_scan(values: tuple[int, ...], w: int) -> None:
-        # a leaf needs '+': impossible once the new coin exceeds w
-        for c in range(values[-1] + 1, min(w, max_cn) + 1):
-            child = values + (c,)
-            if _min_counterexample(child) is None:
-                found.append(child)
-
-    def rec(values: tuple[int, ...], w: int) -> None:
-        # children in the middle range must be '-'; beyond w every leaf
-        # below them stays '-' as well, so the subtree is skipped
+    def rec(values: tuple[int, ...], w: int, dp: list[int], grd: list[int]) -> None:
+        # values is not orderly, with minimal counterexample w and oracle
+        # counts up to w in dp and grd.  A leaf needs '+' and the middle
+        # marks '-'; beyond w every leaf below stays '-', so the subtree is
+        # skipped.  Each child resumes the scan at its new coin.
         depth = len(values) + 1
-        if depth == n:
-            leaf_scan(values, w)
-            return
-        hi = min(w, max_cn - (n - depth))
-        for c in range(values[-1] + 1, hi + 1):
+        for c in range(values[-1] + 1, min(w, max_cn - (n - depth)) + 1):
             child = values + (c,)
-            cw = _min_counterexample(child)
-            if cw is not None:
-                rec(child, cw)
+            cdp, cgrd = dp[:c], grd[:c]
+            cw = _scan_from(child, cdp, cgrd, c)
+            if depth == n:
+                if cw is None:
+                    found.append(child)
+            elif cw is not None:
+                rec(child, cw, cdp, cgrd)
 
     # the first three marks must be '+', the fourth '-'
+    h2 = _fingerprint((1, c2))
     for c3 in range(c2 + 1, max_cn - (n - 3) + 1):
         three = (1, c2, c3)
-        o3, w3 = _extend_verdict(three, True, None)
-        if sample_mod and _fingerprint(three) % sample_mod == 0:
+        o3, w3 = _extend_verdict(three)
+        h3 = ((h2 ^ c3) * 16777619) & 0xFFFFFFFF
+        if sample_mod and h3 % sample_mod == 0:
             _spot_check(three, o3, w3)
         if not o3:
             continue
         for c4 in range(c3 + 1, max_cn - (n - 4) + 1):
             four = three + (c4,)
-            o4, w4 = _extend_verdict(four, True, None)
-            if sample_mod and _fingerprint(four) % sample_mod == 0:
+            o4, w4 = _extend_verdict(four)
+            h4 = ((h3 ^ c4) * 16777619) & 0xFFFFFFFF
+            if sample_mod and h4 % sample_mod == 0:
                 _spot_check(four, o4, w4)
-            if o4:
-                continue
-            if n == 5:
-                leaf_scan(four, w4)
-            else:
-                rec(four, w4)
+            if not o4:
+                dp, grd = [0], [0]
+                rec(four, _scan_from(four, dp, grd, 1), dp, grd)
     return found
 
 

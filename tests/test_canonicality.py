@@ -1,7 +1,9 @@
 """Tests for orderliness verdicts, witnesses, and the structural checks."""
 
+import tracemalloc
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coinsystems import (
@@ -19,6 +21,7 @@ from coinsystems import (
     opt_count,
     sum_pair_counterexample,
 )
+from coinsystems.canonicality import _scan_from
 
 from bruteforce import (
     coin_values,
@@ -50,6 +53,32 @@ def test_oracle_matches_reference(values):
     assert min_counterexample_oracle(CoinSystem(values)) == ref_min_counterexample(
         values
     )
+
+
+@pytest.mark.property_based
+@given(coin_values(max_n=6, max_value=30), st.data())
+@settings(max_examples=100, deadline=None)
+def test_resumed_scan_matches_reference(values, data):
+    """A child whose new coin c is at most the parent's minimal counterexample
+    resumes the parent's tables, cut at c, at c and finds its own."""
+    assume(len(values) > 2)
+    dp, grd = [0], [0]
+    w = _scan_from(values, dp, grd, 1)
+    assume(w is not None and w > values[-1])
+    c = data.draw(st.integers(values[-1] + 1, w))
+    child = values + (c,)
+    assert _scan_from(child, dp[:c], grd[:c], c) == ref_min_counterexample(child)
+
+
+def test_oracle_near_the_cap_tabulates_only_what_it_scans():
+    system = CoinSystem((1, 3, 4, 9999997))
+    tracemalloc.start()
+    try:
+        assert min_counterexample_oracle(system) == 6
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # ---------- candidate amounts ----------

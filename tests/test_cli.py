@@ -240,3 +240,23 @@ def test_internal_disagreement_exits_three(capsys, monkeypatch):
     assert main(["check", "1,2"]) == 3
     captured = capsys.readouterr()
     assert "internal disagreement" in captured.err
+
+
+def test_witness_disagreement_exits_three(capsys, monkeypatch):
+    """The candidate test rejects 1,3,4; an oracle that finds no witness is
+    a disagreement, reported without a traceback."""
+    monkeypatch.setattr("coinsystems.canonicality._min_counterexample", lambda *a: None)
+    assert main(["check", "1,3,4", "--pearson"]) == 3
+    captured = capsys.readouterr()
+    assert "internal disagreement" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", [["enumerate", "--n", "3"], ["conjecture", "--n", "5"]])
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_jobs_below_one_is_a_usage_error(capsys, command, jobs):
+    with pytest.raises(SystemExit) as err:
+        main(command + ["--max", "10", "--jobs", jobs])
+    assert err.value.code == 2
+    assert "--jobs" in capsys.readouterr().err

@@ -62,11 +62,13 @@ def test_pattern_census_known_values():
 
 
 def test_pattern_census_matches_reference():
-    expected = {}
-    for combo in combinations(range(2, 13), 2):
-        marks = ref_pattern((1,) + combo)
-        expected[marks] = expected.get(marks, 0) + 1
-    assert pattern_census(EnumSpec(n=3, max_cn=12)) == expected
+    """Six values reach oracle scans resumed three levels below a full one."""
+    for n, max_cn in [(3, 12), (6, 14)]:
+        expected = {}
+        for combo in combinations(range(2, max_cn + 1), n - 1):
+            marks = ref_pattern((1,) + combo)
+            expected[marks] = expected.get(marks, 0) + 1
+        assert pattern_census(EnumSpec(n=n, max_cn=max_cn)) == expected
 
 
 def test_pattern_census_is_deterministic_across_jobs():
@@ -111,6 +113,16 @@ def test_conjecture_scan_five_values():
     for a, finding in enumerate(findings, start=2):
         assert finding.pattern_ok
         assert finding.membership == FamilyParams(family="D", r=1, a=a)
+
+
+def test_conjecture_scan_matches_reference():
+    expected = [
+        (1,) + combo
+        for n in (5, 6, 7)
+        for combo in combinations(range(2, 17), n - 1)
+        if ref_pattern((1,) + combo) == "+++" + "-" * (n - 4) + "+"
+    ]
+    assert [f.system.values for f in conjecture_scan([5, 6, 7], 16)] == expected
 
 
 def test_conjecture_scan_bounds():
