@@ -24,9 +24,7 @@ def orderly3(c2: int, c3: int) -> bool:
     """
     if not 1 < c2 < c3:
         raise ValueError("need 1 < c2 < c3")
-    d = c3 - c2
-    m = _ceil_div(d, c2)
-    return m * c2 - m <= d
+    return _orderly3(c2, c3)
 
 
 def _orderly3(c2: int, c3: int) -> bool:

@@ -10,7 +10,8 @@ Examples:
 
 Records go to standard output, one JSON object per line, or CSV rows with a
 fixed header under --csv; progress and diagnostics go to standard error.
-Exit codes: 0 success, 1 conjecture violation, 2 usage error, 3 internal
+Exit codes: 0 success, 1 conjecture violation, 2 usage error (including a
+request beyond a resource limit such as the DP table cap), 3 internal
 disagreement between two verdict routes.
 """
 
@@ -22,9 +23,9 @@ import json
 import sys
 from typing import Sequence
 
-from .canonicality import is_orderly, min_counterexample_oracle
+from .canonicality import _candidate_verdict, _witness, is_orderly, min_counterexample_oracle
 from .characterize import classify6, orderly3, orderly4, orderly5, pattern
-from .core import CoinSystem, Representation
+from .core import CoinSystem, Representation, ResourceLimitError
 from .families import FamilyParams, verify_target_pattern
 from .search import (
     ConjectureFinding,
@@ -114,40 +115,29 @@ class _Writer:
 def _cmd_check(args: argparse.Namespace) -> int:
     system: CoinSystem = args.system
     record: dict = {"system": ",".join(str(v) for v in system)}
-    use_oracle = args.oracle or not args.pearson
-    use_candidates = args.pearson or not args.oracle
-
-    oracle_w = min_counterexample_oracle(system) if use_oracle else None
-    report = is_orderly(system) if use_candidates else None
-
-    if use_oracle and use_candidates:
-        if report.orderly != (oracle_w is None):
+    if args.pearson and not args.oracle:
+        report = is_orderly(system)
+        orderly, witness = report.orderly, report.witness
+    else:
+        oracle_w = min_counterexample_oracle(system)
+        orderly = oracle_w is None
+        if not args.oracle and _candidate_verdict(system.values) != orderly:
             print(
                 f"internal disagreement: candidate test says "
-                f"{'orderly' if report.orderly else 'not orderly'}, oracle says "
-                f"{'orderly' if oracle_w is None else f'counterexample {oracle_w}'}",
+                f"{'not orderly' if orderly else 'orderly'}, oracle says "
+                f"{'orderly' if orderly else f'counterexample {oracle_w}'}",
                 file=sys.stderr,
             )
             return EXIT_DISAGREEMENT
+        witness = None if orderly else _witness(system, oracle_w)
 
-    if report is not None:
-        record["orderly"] = report.orderly
-        if report.witness:
-            w = report.witness
-            record["min_counterexample"] = w.value
-            record["greedy_count"] = w.greedy_count
-            record["opt_count"] = w.opt_count
-            record["greedy_repr"] = _fmt_counts(w.greedy)
-            record["optimal_repr"] = _fmt_counts(w.optimal)
-    else:
-        record["orderly"] = oracle_w is None
-        if oracle_w is not None:
-            rep = is_orderly(system).witness
-            record["min_counterexample"] = oracle_w
-            record["greedy_count"] = rep.greedy_count
-            record["opt_count"] = rep.opt_count
-            record["greedy_repr"] = _fmt_counts(rep.greedy)
-            record["optimal_repr"] = _fmt_counts(rep.optimal)
+    record["orderly"] = orderly
+    if witness:
+        record["min_counterexample"] = witness.value
+        record["greedy_count"] = witness.greedy_count
+        record["opt_count"] = witness.opt_count
+        record["greedy_repr"] = _fmt_counts(witness.greedy)
+        record["optimal_repr"] = _fmt_counts(witness.optimal)
 
     _Writer(args.csv, _COLUMNS).write(record)
     return EXIT_OK
@@ -342,6 +332,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InternalDisagreementError as exc:
         print(f"internal disagreement: {exc}", file=sys.stderr)
         return EXIT_DISAGREEMENT
+    except ResourceLimitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (ValueError, argparse.ArgumentTypeError) as exc:
         parser.error(str(exc))  # exits with status 2
         return EXIT_USAGE  # pragma: no cover

@@ -15,6 +15,11 @@ scans each non-orderly 4-prefix once and resumes below it as the census
 does.  Inside a subtree where every added coin exceeds the inherited w, all
 leaves stay non-orderly, so no finding can appear and the subtree is
 skipped; every emitted finding is re-verified per prefix by the oracle.
+
+The agreement sweep walks the same tree carrying each node's first failure w
+and oracle tables ending at w; a child inherits w under a larger coin and
+otherwise resumes the scan.  Every leaf also gets the candidate test from
+scratch, so the two verdicts stay independent.
 """
 
 from __future__ import annotations
@@ -305,16 +310,28 @@ def conjecture_scan(
 
 
 def _agreement_partition(args: tuple[int, int, int]) -> tuple[int, list[tuple[int, ...]]]:
-    from itertools import combinations
-
     n, max_cn, c2 = args
     checked = 0
     disagreements: list[tuple[int, ...]] = []
-    for combo in combinations(range(c2 + 1, max_cn + 1), n - 2):
-        values = (1, c2) + combo
-        checked += 1
-        if _candidate_verdict(values) != (_min_counterexample(values) is None):
-            disagreements.append(values)
+
+    def rec(values, w, dp, grd) -> None:
+        # dp and grd hold the oracle counts below len(dp), which is w + 1 if w is set
+        nonlocal checked
+        depth = len(values) + 1
+        for c in range(values[-1] + 1, max_cn - (n - depth) + 1):
+            child = values + (c,)
+            cdp, cgrd, cw = dp, grd, w
+            if w is None or c <= w:
+                cdp, cgrd = dp[:c], grd[:c]
+                cw = _scan_from(child, cdp, cgrd, min(c, len(dp)))
+            if depth < n:
+                rec(child, cw, cdp, cgrd)
+            else:
+                checked += 1
+                if _candidate_verdict(child) != (cw is None):
+                    disagreements.append(child)
+
+    rec((1, c2), None, [0], [0])
     return checked, disagreements
 
 
@@ -322,7 +339,9 @@ def agreement_sweep(
     n: int, max_cn: int, *, jobs: int = 1
 ) -> tuple[int, list[tuple[int, ...]]]:
     """Compare the candidate test against the oracle on every system with n
-    values bounded by max_cn.  Returns (systems checked, disagreements)."""
+    values bounded by max_cn, walked as a prefix tree whose oracle scans
+    resume from their parents' tables.  Returns (systems checked,
+    disagreements), the latter in lexicographic order for any jobs."""
     if n < 3:
         raise ValueError("need n >= 3")
     args = [(n, max_cn, c2) for c2 in range(2, max_cn - n + 3)]

@@ -58,6 +58,34 @@ def test_check_single_route_flags(capsys):
         assert records[0]["min_counterexample"] == 6
 
 
+def test_check_scans_the_oracle_once(capsys, monkeypatch):
+    import coinsystems.canonicality as canonicality
+
+    scan = canonicality._min_counterexample
+    calls = []
+    monkeypatch.setattr(
+        canonicality, "_min_counterexample", lambda *a: calls.append(a) or scan(*a)
+    )
+    for flags in [[], ["--oracle"]]:
+        calls.clear()
+        code, records = run_json(capsys, ["check", "1,5,15,20"] + flags)
+        assert code == 0
+        assert records[0]["min_counterexample"] == 30
+        assert records[0]["optimal_repr"] == "0,0,2,0"
+        assert len(calls) == 1
+
+
+def test_check_oracle_never_runs_the_candidate_test(capsys, monkeypatch):
+    code, expected = run_json(capsys, ["check", "--oracle", "1,5,15,20"])
+
+    def boom(values):
+        raise AssertionError("candidate test called")
+
+    monkeypatch.setattr("coinsystems.canonicality._candidate_verdict", boom)
+    monkeypatch.setattr("coinsystems.cli._candidate_verdict", boom)
+    assert run_json(capsys, ["check", "--oracle", "1,5,15,20"]) == (0, expected)
+
+
 def test_check_tolerates_spaces(capsys):
     code, records = run_json(capsys, ["check", "1, 2, 5, 6"])
     assert code == 0
@@ -251,6 +279,19 @@ def test_witness_disagreement_exits_three(capsys, monkeypatch):
     assert "internal disagreement" in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv", [["check", "1,3,4,100000000", "--pearson"], ["check", "--oracle", "1,2,100000000"]]
+)
+def test_resource_limit_is_a_usage_error(capsys, argv):
+    """A window beyond the DP table cap exits 2 with one line, no traceback."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("command", [["enumerate", "--n", "3"], ["conjecture", "--n", "5"]])

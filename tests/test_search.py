@@ -17,7 +17,9 @@ from coinsystems import (
     summarize_findings,
 )
 
-from bruteforce import ref_pattern
+from coinsystems.canonicality import _candidate_verdict
+
+from bruteforce import ref_is_orderly, ref_min_counterexample, ref_pattern
 
 
 # ---------- enumeration ----------
@@ -93,6 +95,41 @@ def test_agreement_sweep_small():
     assert disagreements == []
     with pytest.raises(ValueError):
         agreement_sweep(2, 20)
+
+
+@pytest.mark.parametrize("n, max_cn", [(3, 16), (4, 14), (5, 14), (6, 14)])
+def test_agreement_sweep_matches_flat_loop(monkeypatch, n, max_cn):
+    """The tree walk gives every system the reference oracle's verdict."""
+    orderly = {
+        (1,) + combo: ref_is_orderly((1,) + combo)
+        for combo in combinations(range(2, max_cn + 1), n - 1)
+    }
+    systems = list(orderly)
+    expected = [v for v in systems if _candidate_verdict(v) != orderly[v]]
+    assert agreement_sweep(n, max_cn) == (len(systems), expected)
+    # a candidate test that calls everything orderly disagrees exactly on the
+    # systems the reference rejects
+    monkeypatch.setattr("coinsystems.search._candidate_verdict", lambda values: True)
+    rejected = [v for v in systems if not orderly[v]]
+    assert rejected
+    assert agreement_sweep(n, max_cn) == (len(systems), rejected)
+
+
+def test_agreement_sweep_reports_planted_disagreements(monkeypatch):
+    """(1,3,4) fails at 6: its child under 7 inherits that failure without a
+    scan, its child under 5 resumes the scan.  Flipping the candidate verdict
+    on both must surface exactly both, in lexicographic order."""
+    assert ref_min_counterexample((1, 3, 4)) == 6
+    planted = {(1, 3, 4, 7), (1, 3, 4, 5)}
+    monkeypatch.setattr(
+        "coinsystems.search._candidate_verdict",
+        lambda values: _candidate_verdict(values) != (values in planted),
+    )
+    assert agreement_sweep(4, 10) == (comb(9, 3), [(1, 3, 4, 5), (1, 3, 4, 7)])
+
+
+def test_agreement_sweep_is_deterministic_across_jobs():
+    assert agreement_sweep(5, 20, jobs=1) == agreement_sweep(5, 20, jobs=2)
 
 
 # ---------- conjecture scan ----------
