@@ -19,6 +19,7 @@ from .core import (
     CoinSystem,
     Representation,
     ResourceLimitError,
+    _check_cap,
     _greedy_count,
     _greedy_counts,
     _lex_smallest_counts,
@@ -112,47 +113,68 @@ class CounterexampleCandidate:
     vector: Representation
 
 
+def _level_candidates(values: tuple[int, ...]) -> tuple[list[int], list[tuple[int, int]]]:
+    """The greedy vector of c - 1 for the top coin c, and the candidates
+    from it as (amount, coins in the candidate vector) for p = 1, 2, ...;
+    amounts are at least c and depend on no coin above c."""
+    c = values[-1]
+    base = _greedy_counts(values, c - 1)
+    w, size, out = c - 1, sum(base), []
+    # running sums over the zeroed prefix
+    for p in range(1, len(values) - 1):
+        w -= base[p - 1] * values[p - 1]
+        size -= base[p - 1]
+        out.append((w + values[p], size + 1))
+    return base, out
+
+
 def counterexample_candidates(system: CoinSystem) -> list[CounterexampleCandidate]:
     """All candidate amounts for the minimal counterexample."""
     values = system.values
     n = len(values)
     out: list[CounterexampleCandidate] = []
-    for k in range(2, n + 1):
-        base = _greedy_counts(values, values[k - 1] - 1)
-        for p in range(1, k - 1):
-            counts = [0] * p + base[p:]
+    for k in range(3, n + 1):
+        base, cands = _level_candidates(values[:k])
+        for p, (amount, _) in enumerate(cands, 1):
+            counts = [0] * p + base[p:] + [0] * (n - k)
             counts[p] += 1
             vector = Representation(system, tuple(counts))
-            out.append(
-                CounterexampleCandidate(
-                    source_k=k, p=p, value=vector.value(), vector=vector
-                )
-            )
+            out.append(CounterexampleCandidate(source_k=k, p=p, value=amount, vector=vector))
+    return out
+
+
+def _candidate_step(
+    values: tuple[int, ...], f: int | None, pending: list[tuple[int, int]]
+) -> tuple[int | None, list[tuple[int, int]]]:
+    """Extend the candidate state of values[:-1] by its top coin c, with
+    greedy counts only: f is the smallest failing candidate so far, pending
+    the sorted candidates at or above the parent's top coin.  No greedy
+    count below c changes in a descendant, so an f below c is final and any
+    other candidate below c has passed for good."""
+    c = values[-1]
+    if f is not None and f < c:
+        return f, pending
+    pending = sorted([x for x in pending if x[0] >= c] + _level_candidates(values)[1])
+    for amount, size in pending:
+        if _greedy_count(values, amount) > size:
+            return amount, pending
+    return None, pending
+
+
+def _failing_candidates(values: tuple[int, ...]) -> list[int | None]:
+    """Smallest failing candidate of every prefix, None where it is orderly.
+    A failing candidate's vector beats greedy, and the minimal counterexample
+    is a candidate whose vector is optimal, so each entry is the minimal one."""
+    f, pending, out = None, [], [None] * min(len(values), 2)
+    for k in range(3, len(values) + 1):
+        f, pending = _candidate_step(values[:k], f, pending)
+        out.append(f)
     return out
 
 
 def _candidate_verdict(values: tuple[int, ...]) -> bool:
-    """True iff orderly, checking greedy only at the candidate amounts.
-
-    Each candidate vector represents its amount with `size` coins, so
-    grd(w) > size proves a counterexample; and the minimal counterexample of
-    a non-orderly system is itself a candidate whose vector is optimal, so
-    that comparison cannot miss it.
-    """
-    n = len(values)
-    if n <= 2:
-        return True
-    for k in range(3, n + 1):
-        base = _greedy_counts(values, values[k - 1] - 1)
-        w = values[k - 1] - 1
-        size = sum(base)
-        # running sums over the zeroed prefix
-        for p in range(1, k - 1):
-            w -= base[p - 1] * values[p - 1]
-            size -= base[p - 1]
-            if _greedy_count(values, w + values[p]) > size + 1:
-                return False
-    return True
+    """True iff orderly, checking greedy only at the candidate amounts."""
+    return _failing_candidates(values)[-1] is None
 
 
 # ---------- reports ----------
@@ -192,15 +214,18 @@ def is_orderly(system: CoinSystem, *, cap: int = DEFAULT_VALUE_CAP) -> Canonical
     """Decide orderliness by the candidate test; witness the failure if any.
 
     The verdict comes from the candidate set alone.  For a non-orderly
-    system the witness is located by the direct upward scan, so it is the
-    true minimal counterexample.
+    system the smallest failing candidate is the minimal counterexample M,
+    so the witness's optimal form is tabulated only up to M, and the cap
+    bounds M rather than the scan window.
     """
-    if _candidate_verdict(system.values):
+    m = _failing_candidates(system.values)[-1]
+    if m is None:
         return CanonicalityReport(orderly=True, witness=None)
-    w = _min_counterexample(system.values, cap)
-    if w is None:
-        raise InternalDisagreementError(f"candidate test and oracle disagree on {system}")
-    return CanonicalityReport(orderly=False, witness=_witness(system, w))
+    _check_cap(m, cap)
+    witness = _witness(system, m)
+    if witness.greedy_count <= witness.opt_count:
+        raise InternalDisagreementError(f"candidate {m} of {system} is not a counterexample")
+    return CanonicalityReport(orderly=False, witness=witness)
 
 
 # ---------- one-point extension check ----------

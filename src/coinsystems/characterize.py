@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .canonicality import _candidate_verdict, _ceil_div, _one_point
+from .canonicality import _ceil_div, _failing_candidates, _one_point
 from .core import CoinSystem, Pattern, _greedy_count
 
 
@@ -206,14 +206,6 @@ def _classify6(values: tuple[int, ...]) -> tuple[str, dict[str, int] | None]:
 
 
 def pattern(system: CoinSystem) -> Pattern:
-    """Orderliness mark for every prefix, '+' orderly and '-' not."""
-    values = system.values
-    return Pattern(_pattern_marks(values))
-
-
-def _pattern_marks(values: tuple[int, ...]) -> str:
-    n = len(values)
-    marks = ["+"] * min(n, 2)
-    for k in range(3, n + 1):
-        marks.append("+" if _candidate_verdict(values[:k]) else "-")
-    return "".join(marks)
+    """Orderliness mark for every prefix, '+' orderly and '-' not, from one
+    candidate-test pass over the prefixes."""
+    return Pattern("".join("+" if f is None else "-" for f in _failing_candidates(system.values)))

@@ -18,8 +18,9 @@ skipped; every emitted finding is re-verified per prefix by the oracle.
 
 The agreement sweep walks the same tree carrying each node's first failure w
 and oracle tables ending at w; a child inherits w under a larger coin and
-otherwise resumes the scan.  Every leaf also gets the candidate test from
-scratch, so the two verdicts stay independent.
+otherwise resumes the scan.  Beside them it carries the candidate test's own
+state, extended at each child by greedy counts alone, and every leaf's
+smallest failing candidate must equal w.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import multiprocessing
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .canonicality import InternalDisagreementError, _candidate_verdict, _min_counterexample
+from .canonicality import InternalDisagreementError, _candidate_step, _min_counterexample
 from .canonicality import _one_point, _scan_from, gap_filter, jump_filter
 from .core import CoinSystem, _greedy_count, _opt_table
 from .families import FamilyParams, family_membership
@@ -314,7 +315,7 @@ def _agreement_partition(args: tuple[int, int, int]) -> tuple[int, list[tuple[in
     checked = 0
     disagreements: list[tuple[int, ...]] = []
 
-    def rec(values, w, dp, grd) -> None:
+    def rec(values, w, dp, grd, f, pending) -> None:
         # dp and grd hold the oracle counts below len(dp), which is w + 1 if w is set
         nonlocal checked
         depth = len(values) + 1
@@ -324,14 +325,15 @@ def _agreement_partition(args: tuple[int, int, int]) -> tuple[int, list[tuple[in
             if w is None or c <= w:
                 cdp, cgrd = dp[:c], grd[:c]
                 cw = _scan_from(child, cdp, cgrd, min(c, len(dp)))
+            cf, cpending = _candidate_step(child, f, pending)
             if depth < n:
-                rec(child, cw, cdp, cgrd)
+                rec(child, cw, cdp, cgrd, cf, cpending)
             else:
                 checked += 1
-                if _candidate_verdict(child) != (cw is None):
+                if cf != cw:
                     disagreements.append(child)
 
-    rec((1, c2), None, [0], [0])
+    rec((1, c2), None, [0], [0], None, [])
     return checked, disagreements
 
 
@@ -339,8 +341,9 @@ def agreement_sweep(
     n: int, max_cn: int, *, jobs: int = 1
 ) -> tuple[int, list[tuple[int, ...]]]:
     """Compare the candidate test against the oracle on every system with n
-    values bounded by max_cn, walked as a prefix tree whose oracle scans
-    resume from their parents' tables.  Returns (systems checked,
+    values bounded by max_cn, walked as a prefix tree on which both routes
+    resume from their parents' state.  A system disagrees unless both find
+    the same minimal counterexample.  Returns (systems checked,
     disagreements), the latter in lexicographic order for any jobs."""
     if n < 3:
         raise ValueError("need n >= 3")

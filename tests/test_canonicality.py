@@ -19,9 +19,10 @@ from coinsystems import (
     min_counterexample_oracle,
     one_point_check,
     opt_count,
+    pattern,
     sum_pair_counterexample,
 )
-from coinsystems.canonicality import _scan_from
+from coinsystems.canonicality import _candidate_verdict, _failing_candidates, _scan_from
 
 from bruteforce import (
     coin_values,
@@ -104,6 +105,44 @@ def test_candidate_vectors_are_consistent(values):
         assert counts[cand.p] == base.counts[cand.p] + 1
         assert counts[cand.p + 1 :] == base.counts[cand.p + 1 :]
         assert cand.vector.value() == cand.value
+
+
+@pytest.mark.property_based
+@given(coin_values(max_n=7, max_value=40))
+@settings(max_examples=150, deadline=None)
+def test_failing_candidates_are_minimal_counterexamples(values):
+    """One pass of the candidate step gives every prefix's minimal
+    counterexample; is_orderly's witness is the last of them."""
+    expected = [ref_min_counterexample(values[:k]) for k in range(1, len(values) + 1)]
+    assert _failing_candidates(values) == expected
+    witness = is_orderly(CoinSystem(values)).witness
+    assert (witness.value if witness else None) == expected[-1]
+
+
+def test_candidate_route_uses_no_dp_table(monkeypatch):
+    """The candidate step and its folds run on greedy counts alone: with
+    every oracle scan and DP table made unusable they give the same results."""
+    import coinsystems.canonicality as canonicality
+    import coinsystems.core as core
+
+    systems = [(1, 3, 4), (1, 2, 5, 6), (1, 5, 10, 25), (1, 2, 4, 5, 7, 9, 12, 17)]
+    expected = [
+        (_failing_candidates(v), counterexample_candidates(CoinSystem(v)), pattern(CoinSystem(v)))
+        for v in systems
+    ]
+
+    def boom(*args):
+        raise AssertionError("DP table or oracle scan used")
+
+    for module in (core, canonicality):
+        for name in ("_scan_from", "_min_counterexample", "_opt_table", "_suffix_opt_tables"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, boom)
+    for v, (fails, cands, marks) in zip(systems, expected):
+        assert _failing_candidates(v) == fails
+        assert _candidate_verdict(v) == (fails[-1] is None)
+        assert counterexample_candidates(CoinSystem(v)) == cands
+        assert pattern(CoinSystem(v)) == marks
 
 
 # ---------- verdicts and witnesses ----------

@@ -9,6 +9,8 @@ import pytest
 from coinsystems import InternalDisagreementError
 from coinsystems.cli import main
 
+from bruteforce import ref_greedy_counts, ref_lex_smallest_optimal, ref_min_counterexample
+
 
 def run_json(capsys, argv):
     """Run main, parse stdout as JSON lines, return (code, records)."""
@@ -271,9 +273,11 @@ def test_internal_disagreement_exits_three(capsys, monkeypatch):
 
 
 def test_witness_disagreement_exits_three(capsys, monkeypatch):
-    """The candidate test rejects 1,3,4; an oracle that finds no witness is
-    a disagreement, reported without a traceback."""
-    monkeypatch.setattr("coinsystems.canonicality._min_counterexample", lambda *a: None)
+    """The candidate test rejects 1,3,4 at 6; an optimal form no better than
+    greedy there is a disagreement, reported without a traceback."""
+    from coinsystems.core import _greedy_counts
+
+    monkeypatch.setattr("coinsystems.canonicality._lex_smallest_counts", _greedy_counts)
     assert main(["check", "1,3,4", "--pearson"]) == 3
     captured = capsys.readouterr()
     assert "internal disagreement" in captured.err
@@ -282,7 +286,7 @@ def test_witness_disagreement_exits_three(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "argv", [["check", "1,3,4,100000000", "--pearson"], ["check", "--oracle", "1,2,100000000"]]
+    "argv", [["check", "1,3,4,100000000"], ["check", "--oracle", "1,2,100000000"]]
 )
 def test_resource_limit_is_a_usage_error(capsys, argv):
     """A window beyond the DP table cap exits 2 with one line, no traceback."""
@@ -292,6 +296,42 @@ def test_resource_limit_is_a_usage_error(capsys, argv):
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "values, m",
+    [((1, 3, 4, 100000000), 6), ((1, 2, 5, 6, 20000000), 10), ((1, 5, 15, 20, 30000000), 30)],
+)
+def test_pearson_witness_ignores_the_window(capsys, values, m):
+    """--pearson takes the minimal counterexample from the candidates, so a
+    window beyond the DP table cap does not stop it."""
+    assert ref_min_counterexample(values) == m
+    code, records = run_json(capsys, ["check", ",".join(map(str, values)), "--pearson"])
+    assert code == 0
+    rec = records[0]
+    assert rec["orderly"] is False
+    assert rec["min_counterexample"] == m
+    greedy = ref_greedy_counts(values, m)
+    optimal = ref_lex_smallest_optimal(values, m)
+    assert rec["greedy_repr"] == ",".join(map(str, greedy))
+    assert rec["optimal_repr"] == ",".join(map(str, optimal))
+    assert (rec["greedy_count"], rec["opt_count"]) == (sum(greedy), sum(optimal))
+
+
+def test_pearson_and_pattern_never_scan_the_oracle(capsys, monkeypatch):
+    """check --pearson and pattern give the same records with the oracle
+    scan made unusable."""
+    argvs = [
+        ["check", system, "--pearson"] for system in ["1,3,4", "1,5,15,20", "1,5,10,25"]
+    ] + [["pattern", system] for system in ["1,2,5,6,10", "1,2,4,5,7,8,11,14"]]
+    expected = [run_json(capsys, argv) for argv in argvs]
+
+    def boom(*args):
+        raise AssertionError("oracle scan called")
+
+    monkeypatch.setattr("coinsystems.canonicality._scan_from", boom)
+    monkeypatch.setattr("coinsystems.canonicality._min_counterexample", boom)
+    assert [run_json(capsys, argv) for argv in argvs] == expected
 
 
 @pytest.mark.parametrize("command", [["enumerate", "--n", "3"], ["conjecture", "--n", "5"]])

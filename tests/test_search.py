@@ -17,7 +17,7 @@ from coinsystems import (
     summarize_findings,
 )
 
-from coinsystems.canonicality import _candidate_verdict
+from coinsystems.canonicality import _candidate_step, _candidate_verdict
 
 from bruteforce import ref_is_orderly, ref_min_counterexample, ref_pattern
 
@@ -109,7 +109,9 @@ def test_agreement_sweep_matches_flat_loop(monkeypatch, n, max_cn):
     assert agreement_sweep(n, max_cn) == (len(systems), expected)
     # a candidate test that calls everything orderly disagrees exactly on the
     # systems the reference rejects
-    monkeypatch.setattr("coinsystems.search._candidate_verdict", lambda values: True)
+    monkeypatch.setattr(
+        "coinsystems.search._candidate_step", lambda values, f, pending: (None, pending)
+    )
     rejected = [v for v in systems if not orderly[v]]
     assert rejected
     assert agreement_sweep(n, max_cn) == (len(systems), rejected)
@@ -117,15 +119,36 @@ def test_agreement_sweep_matches_flat_loop(monkeypatch, n, max_cn):
 
 def test_agreement_sweep_reports_planted_disagreements(monkeypatch):
     """(1,3,4) fails at 6: its child under 7 inherits that failure without a
-    scan, its child under 5 resumes the scan.  Flipping the candidate verdict
-    on both must surface exactly both, in lexicographic order."""
+    scan, its child under 5 resumes the scan.  A candidate step that reports
+    a bogus failure on both must surface exactly both, in lexicographic
+    order."""
     assert ref_min_counterexample((1, 3, 4)) == 6
     planted = {(1, 3, 4, 7), (1, 3, 4, 5)}
     monkeypatch.setattr(
-        "coinsystems.search._candidate_verdict",
-        lambda values: _candidate_verdict(values) != (values in planted),
+        "coinsystems.search._candidate_step",
+        lambda values, f, pending: (
+            (-1, pending) if values in planted else _candidate_step(values, f, pending)
+        ),
     )
     assert agreement_sweep(4, 10) == (comb(9, 3), [(1, 3, 4, 5), (1, 3, 4, 7)])
+
+
+def test_agreement_sweep_carries_the_minimal_counterexample(monkeypatch):
+    """At every node of the walk, resumed or inherited, the candidate state
+    carries that node's minimal counterexample."""
+    carried = {}
+
+    def step(values, f, pending):
+        out = _candidate_step(values, f, pending)
+        carried[values] = out[0]
+        return out
+
+    monkeypatch.setattr("coinsystems.search._candidate_step", step)
+    max_cn = 16
+    for n in range(3, 7):
+        assert agreement_sweep(n, max_cn) == (comb(max_cn - 1, n - 1), [])
+    assert len(carried) == sum(comb(max_cn - 1, k - 1) for k in range(3, 7))
+    assert all(f == ref_min_counterexample(values) for values, f in carried.items())
 
 
 def test_agreement_sweep_is_deterministic_across_jobs():
