@@ -1,12 +1,12 @@
 """Deciding orderliness: oracle scan, candidate test, and structural checks.
 
 A coin system is *orderly* when the greedy representation is optimal for
-every amount.  The brute-force referee scans amounts directly; the smallest
-counterexample of a non-orderly system always lies strictly between c3 and
-c(n-1)+cn, so the scan is finite.  The fast test instead derives a small
-candidate set from greedy representations of ck-1: the minimal counterexample
-of a non-orderly system always appears among the candidates, so checking only
-those decides the verdict in O(n^3) coin operations.
+every amount.  The oracle scans amounts upward keeping greedy counts, which
+equal optimal ones below the first counterexample; that lies below c(n-1)+cn
+(Kozen & Zaks), so the scan is finite.  The fast test instead derives a
+small candidate set from greedy representations of ck-1: the minimal
+counterexample of a non-orderly system always appears among the candidates,
+so checking only those decides the verdict in O(n^3) coin operations.
 """
 
 from __future__ import annotations
@@ -36,55 +36,63 @@ def _ceil_div(a: int, b: int) -> int:
     return (a + b - 1) // b
 
 
-# ---------- brute-force referee ----------
+# ---------- oracle scan ----------
 
 
-def _scan_from(
-    values: tuple[int, ...], dp: list[int], grd: list[int], start: int
-) -> int | None:
+_CHUNK = 1 << 14  # amounts appended per list built where no amount can fail
+
+
+def _scan_from(values: tuple[int, ...], grd: list[int], start: int) -> int | None:
     """Resume the oracle scan of values at start; the first counterexample.
 
-    dp and grd hold the optimal and greedy counts of every amount below
-    start, none of which may fail; both grow in place up to the returned
-    amount.  None means no failure below c(n-1)+cn: the system is orderly.
+    grd holds the greedy counts below start, none of which fails, and grows
+    in place up to the returned amount; None means no failure below
+    c(n-1)+cn: the system is orderly.  With p the largest coin <= v, v fails
+    iff some coin d has grd[v-d] < grd[v-p].  A coin d <= v-p repeats the
+    comparison made at v-p (greedy on v-d starts with p) and d = p ties, so
+    only v-p < d < p is tried, and the amounts from p plus the coin below p
+    up to the next coin cannot fail: they are filled, not checked.
     """
     hi = values[-2] + values[-1]
-    coins = values[1:]
-    top = len(values) - 1
-    ptr = bisect_right(values, start) - 1
-    for v in range(start, hi):
-        if ptr < top and values[ptr + 1] <= v:
-            ptr += 1
-        g = grd[v - values[ptr]] + 1
-        grd.append(g)
-        best = dp[v - 1] + 1
-        for c in coins:
-            if c > v:
-                break
-            cand = dp[v - c] + 1
-            if cand < best:
-                best = cand
-        dp.append(best)
-        if g > best:
-            return v
-    return None
+    k = bisect_right(values, start) - 1
+    v = start
+    while True:
+        p = values[k]
+        end = values[k + 1] if k + 1 < len(values) else hi
+        below = values[k - 1 : 0 : -1]
+        for v in range(v, min(p + (values[k - 1] if k else 0), end)):
+            m = v - p
+            g = grd[m]
+            grd.append(g + 1)
+            for d in below:
+                if d <= m:
+                    break
+                if grd[v - d] < g:
+                    return v
+        while len(grd) < end:
+            # greedy on u < end spends u // p coins of p, so u copies u - t*p plus t
+            t = max(1, min(len(grd), _CHUNK) // p)
+            s = len(grd) - t * p
+            grd += [x + t for x in grd[s : min(s + _CHUNK, end - t * p)]]
+        if end == hi:
+            return None
+        v = end
+        k += 1
 
 
 def _min_counterexample(values: tuple[int, ...], cap: int = DEFAULT_VALUE_CAP) -> int | None:
     """Smallest amount where greedy is not optimal, or None when orderly.
 
-    Runs _scan_from from amount 1 over every amount below c(n-1)+cn; no
-    counterexample can be that large, so a clean sweep proves the system
-    orderly.  Amounts at or below c3 are scanned as well even though none of
-    them can fail, which keeps this routine a referee that assumes nothing
-    about where failures live.  The sweeps resume _scan_from instead.
+    Scans from amount 1 over the window below c(n-1)+cn, which holds the
+    minimal counterexample of every non-orderly system; the cap bounds that
+    window.  The sweeps resume _scan_from from a parent's table instead.
     """
     if len(values) <= 2:
         return None
     hi = values[-2] + values[-1]
     if hi - 1 > cap:
         raise ResourceLimitError(f"scan bound {hi - 1} exceeds the DP table cap {cap}")
-    return _scan_from(values, [0], [0], 1)
+    return _scan_from(values, [0], 1)
 
 
 def min_counterexample_oracle(

@@ -31,6 +31,7 @@ from .search import (
     ConjectureFinding,
     EnumSpec,
     InternalDisagreementError,
+    _target_marks,
     conjecture_scan,
     pattern_census,
     summarize_findings,
@@ -227,7 +228,7 @@ def _finding_record(finding: ConjectureFinding) -> dict:
     record = {
         "system": ",".join(str(v) for v in finding.system),
         "orderly": True,
-        "pattern": "+++" + "-" * (len(finding.system) - 4) + "+",
+        "pattern": _target_marks(len(finding.system)),
     }
     if membership is not None:
         record["family"] = membership.family

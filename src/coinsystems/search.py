@@ -4,11 +4,11 @@ Enumeration is lexicographic over (c2, ..., cn) drawn from 2..max_cn.  The
 census walks the enumeration as a prefix tree so each prefix verdict is
 computed once: an orderly prefix is extended by a single greedy evaluation,
 and a non-orderly prefix carries its minimal failing amount w and the oracle
-tables up to w.  Under a new coin larger than w it stays non-orderly with
-the same w (no representation of an amount below the new coin can use it).
-Under a coin c at or below w the oracle scan resumes at c from the parent's
-tables cut at c, since adding c changes no count below c.  A deterministic
-sample of verdicts is re-checked against a from-scratch oracle scan.
+scan's one table, of greedy counts up to w.  Under a coin larger than w it
+stays non-orderly with the same w (no representation of an amount below the
+new coin can use it).  Under a coin c at or below w the scan resumes at c
+from the parent's table cut at c, since c changes no count below c.  A
+deterministic sample of verdicts is re-checked by a from-scratch scan.
 
 The conjecture scan looks for systems whose pattern is (+++-...-+).  It
 scans each non-orderly 4-prefix once and resumes below it as the census
@@ -17,7 +17,7 @@ leaves stay non-orderly, so no finding can appear and the subtree is
 skipped; every emitted finding is re-verified per prefix by the oracle.
 
 The agreement sweep walks the same tree carrying each node's first failure w
-and oracle tables ending at w; a child inherits w under a larger coin and
+and the oracle's table ending at w; a child inherits w under a larger coin and
 otherwise resumes the scan.  Beside them it carries the candidate test's own
 state, extended at each child by greedy counts alone, and every leaf's
 smallest failing candidate must equal w.
@@ -123,33 +123,33 @@ def _census_partition(args: tuple[int, int, int, int]) -> dict[str, int]:
     n, max_cn, c2, sample_mod = args
     counts: dict[str, int] = {}
 
-    def rec(values, marks, w, dp, grd, h) -> None:
+    def rec(values, marks, w, grd, h) -> None:
         # w is None when values is orderly; otherwise it is the minimal
-        # counterexample and, if values has children, dp and grd reach w
+        # counterexample and, if values has children, grd reaches w
         if len(values) == n:
             counts[marks] = counts.get(marks, 0) + 1
             return
         remaining = n - len(values) - 1
         for c in range(values[-1] + 1, max_cn - remaining + 1):
             child = values + (c,)
-            cdp, cgrd = dp, grd
+            cgrd = grd
             if w is None:
                 orderly, w2 = _extend_verdict(child)
                 if not orderly and remaining:
-                    cdp, cgrd = [0], [0]
-                    w2 = _scan_from(child, cdp, cgrd, 1)
+                    cgrd = [0]
+                    w2 = _scan_from(child, cgrd, 1)
             elif c > w:
                 w2 = w
             else:
-                cdp, cgrd = dp[:c], grd[:c]
-                w2 = _scan_from(child, cdp, cgrd, c)
+                cgrd = grd[:c]
+                w2 = _scan_from(child, cgrd, c)
             # FNV-1a of child, folded on from the parent's hash
             ch = ((h ^ c) * 16777619) & 0xFFFFFFFF
             if sample_mod and ch % sample_mod == 0:
                 _spot_check(child, w2 is None, w2)
-            rec(child, marks + ("+" if w2 is None else "-"), w2, cdp, cgrd, ch)
+            rec(child, marks + ("+" if w2 is None else "-"), w2, cgrd, ch)
 
-    rec((1, c2), "++", None, None, None, _fingerprint((1, c2)))
+    rec((1, c2), "++", None, None, _fingerprint((1, c2)))
     return counts
 
 
@@ -219,21 +219,21 @@ def _scan_partition(args: tuple[int, int, int, int]) -> list[tuple[int, ...]]:
     n, max_cn, c2, sample_mod = args
     found: list[tuple[int, ...]] = []
 
-    def rec(values: tuple[int, ...], w: int, dp: list[int], grd: list[int]) -> None:
-        # values is not orderly, with minimal counterexample w and oracle
-        # counts up to w in dp and grd.  A leaf needs '+' and the middle
-        # marks '-'; beyond w every leaf below stays '-', so the subtree is
-        # skipped.  Each child resumes the scan at its new coin.
+    def rec(values: tuple[int, ...], w: int, grd: list[int]) -> None:
+        # values is not orderly, with minimal counterexample w and greedy
+        # counts up to w in grd.  A leaf needs '+' and the middle marks '-';
+        # beyond w every leaf below stays '-', so the subtree is skipped.
+        # Each child resumes the scan at its new coin.
         depth = len(values) + 1
         for c in range(values[-1] + 1, min(w, max_cn - (n - depth)) + 1):
             child = values + (c,)
-            cdp, cgrd = dp[:c], grd[:c]
-            cw = _scan_from(child, cdp, cgrd, c)
+            cgrd = grd[:c]
+            cw = _scan_from(child, cgrd, c)
             if depth == n:
                 if cw is None:
                     found.append(child)
             elif cw is not None:
-                rec(child, cw, cdp, cgrd)
+                rec(child, cw, cgrd)
 
     # the first three marks must be '+', the fourth '-'
     h2 = _fingerprint((1, c2))
@@ -252,8 +252,8 @@ def _scan_partition(args: tuple[int, int, int, int]) -> list[tuple[int, ...]]:
             if sample_mod and h4 % sample_mod == 0:
                 _spot_check(four, o4, w4)
             if not o4:
-                dp, grd = [0], [0]
-                rec(four, _scan_from(four, dp, grd, 1), dp, grd)
+                grd = [0]
+                rec(four, _scan_from(four, grd, 1), grd)
     return found
 
 
@@ -315,25 +315,25 @@ def _agreement_partition(args: tuple[int, int, int]) -> tuple[int, list[tuple[in
     checked = 0
     disagreements: list[tuple[int, ...]] = []
 
-    def rec(values, w, dp, grd, f, pending) -> None:
-        # dp and grd hold the oracle counts below len(dp), which is w + 1 if w is set
+    def rec(values, w, grd, f, pending) -> None:
+        # grd holds the greedy counts below len(grd), which is w + 1 if w is set
         nonlocal checked
         depth = len(values) + 1
         for c in range(values[-1] + 1, max_cn - (n - depth) + 1):
             child = values + (c,)
-            cdp, cgrd, cw = dp, grd, w
+            cgrd, cw = grd, w
             if w is None or c <= w:
-                cdp, cgrd = dp[:c], grd[:c]
-                cw = _scan_from(child, cdp, cgrd, min(c, len(dp)))
+                cgrd = grd[:c]
+                cw = _scan_from(child, cgrd, min(c, len(grd)))
             cf, cpending = _candidate_step(child, f, pending)
             if depth < n:
-                rec(child, cw, cdp, cgrd, cf, cpending)
+                rec(child, cw, cgrd, cf, cpending)
             else:
                 checked += 1
                 if cf != cw:
                     disagreements.append(child)
 
-    rec((1, c2), None, [0], [0], None, [])
+    rec((1, c2), None, [0], None, [])
     return checked, disagreements
 
 

@@ -1,6 +1,7 @@
 """Tests for orderliness verdicts, witnesses, and the structural checks."""
 
 import tracemalloc
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings
@@ -23,11 +24,13 @@ from coinsystems import (
     sum_pair_counterexample,
 )
 from coinsystems.canonicality import _candidate_verdict, _failing_candidates, _scan_from
+from coinsystems.core import _opt_table
 
 from bruteforce import (
     coin_values,
     coin_values_exact,
     ref_all_optimal,
+    ref_greedy_count,
     ref_is_orderly,
     ref_min_counterexample,
 )
@@ -57,18 +60,67 @@ def test_oracle_matches_reference(values):
 
 
 @pytest.mark.property_based
-@given(coin_values(max_n=6, max_value=30), st.data())
+@given(st.integers(3, 6).flatmap(lambda n: coin_values_exact(n, max_value=30)), st.data())
 @settings(max_examples=100, deadline=None)
 def test_resumed_scan_matches_reference(values, data):
     """A child whose new coin c is at most the parent's minimal counterexample
-    resumes the parent's tables, cut at c, at c and finds its own."""
-    assume(len(values) > 2)
-    dp, grd = [0], [0]
-    w = _scan_from(values, dp, grd, 1)
+    resumes the parent's table, cut at c, at c and finds its own."""
+    grd = [0]
+    w = _scan_from(values, grd, 1)
     assume(w is not None and w > values[-1])
     c = data.draw(st.integers(values[-1] + 1, w))
     child = values + (c,)
-    assert _scan_from(child, dp[:c], grd[:c], c) == ref_min_counterexample(child)
+    assert _scan_from(child, grd[:c], c) == ref_min_counterexample(child)
+
+
+def test_scan_matches_reference_exhaustively():
+    """Every system with n <= 5 and cn <= 24, scanned from scratch and, as
+    the sweeps do, resumed from its parent's table whenever the parent is
+    orderly or its new coin c is at most the parent's w; the table holds
+    greedy counts up to w, or over the whole window when orderly."""
+    tables = {}
+    for n in range(3, 6):
+        for rest in combinations(range(2, 25), n - 1):
+            values = (1,) + rest
+            w = ref_min_counterexample(values)
+            grd = [0]
+            assert _scan_from(values, grd, 1) == w, values
+            stop = values[-2] + values[-1] if w is None else w + 1
+            assert grd == [ref_greedy_count(values, u) for u in range(stop)], values
+            if values[:-1] in tables:
+                pw, pgrd = tables[values[:-1]]
+                c = values[-1]
+                if pw is None or c <= pw:
+                    cgrd = pgrd[:c]
+                    assert _scan_from(values, cgrd, min(c, len(pgrd))) == w, values
+                    assert cgrd == grd, values
+            tables[values] = (w, grd)
+
+
+@pytest.mark.parametrize("chunk", [None, 5])
+@pytest.mark.parametrize(
+    "values",
+    [
+        (1, 2, 999),
+        (1, 3, 4, 500),
+        (1, 2, 999, 1000),
+        (1, 5, 10, 25, 50, 100, 2990),
+        (1, 5, 21, 81, 297, 1237, 4857),  # grown coin by coin by the one-point test
+    ],
+)
+def test_scan_fills_wide_gaps(values, chunk, monkeypatch):
+    """Amounts past p plus the coin below p are filled, not checked, in
+    chunks of any size; the scan still finds the first amount where greedy
+    beats the full DP."""
+    if chunk:
+        monkeypatch.setattr("coinsystems.canonicality._CHUNK", chunk)
+    hi = values[-2] + values[-1]
+    opt = _opt_table(values, hi - 1)
+    greedy = [ref_greedy_count(values, u) for u in range(hi)]
+    w = next((v for v in range(hi) if greedy[v] > opt[v]), None)
+    grd = [0]
+    assert _scan_from(values, grd, 1) == w
+    assert grd == greedy[: hi if w is None else w + 1]
 
 
 def test_oracle_near_the_cap_tabulates_only_what_it_scans():
@@ -80,6 +132,19 @@ def test_oracle_near_the_cap_tabulates_only_what_it_scans():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_oracle_memory_per_scanned_amount():
+    """An orderly scan keeps one table: about 40 bytes per amount, a list
+    slot and an int object."""
+    system = CoinSystem((1, 2, 999_999))
+    tracemalloc.start()
+    try:
+        assert min_counterexample_oracle(system) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * (2 + 999_999)
 
 
 # ---------- candidate amounts ----------
