@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial
 
 from .core import (
     DEFAULT_VALUE_CAP,
@@ -24,7 +25,7 @@ from .core import (
     _greedy_counts,
     _lex_smallest_counts,
     _opt_table,
-    _suffix_opt_tables,
+    _optimal_forms,
 )
 
 
@@ -206,9 +207,13 @@ class CanonicalityReport:
 
 
 def _witness(system: CoinSystem, w: int) -> CounterexampleWitness:
+    """Greedy and lex-smallest optimal forms of w, which must be the minimal
+    counterexample: greedy is optimal below it, so the optimal form is
+    walked down greedy counts and no DP table is built."""
     values = system.values
     greedy = Representation(system, tuple(_greedy_counts(values, w)))
-    optimal = Representation(system, tuple(_lex_smallest_counts(values, w)))
+    counts = _lex_smallest_counts(values, w, partial(_greedy_count, values))
+    optimal = Representation(system, tuple(counts))
     return CounterexampleWitness(
         value=w,
         greedy=greedy,
@@ -223,8 +228,8 @@ def is_orderly(system: CoinSystem, *, cap: int = DEFAULT_VALUE_CAP) -> Canonical
 
     The verdict comes from the candidate set alone.  For a non-orderly
     system the smallest failing candidate is the minimal counterexample M,
-    so the witness's optimal form is tabulated only up to M, and the cap
-    bounds M rather than the scan window.
+    so the witness's optimal form is walked down the greedy counts below M,
+    and the cap bounds M, and with it the walk, rather than the scan window.
     """
     m = _failing_candidates(system.values)[-1]
     if m is None:
@@ -371,27 +376,11 @@ class SupportCheck:
     conflicting: Representation | None = None
 
 
-def _optimal_count_vectors(values: tuple[int, ...], v: int) -> list[tuple[int, ...]]:
-    """Every representation of v that attains the minimal coin count."""
-    tables = _suffix_opt_tables(values, v)
-    n = len(values)
-    out: list[tuple[int, ...]] = []
-    stack: list[int] = []
-
-    def rec(i: int, u: int, budget: int) -> None:
-        if i == n:
-            out.append(tuple(stack))
-            return
-        c = values[i]
-        nxt = tables[i + 1]
-        for t in range(u // c + 1):
-            if nxt[u - t * c] == budget - t:
-                stack.append(t)
-                rec(i + 1, u - t * c, budget - t)
-                stack.pop()
-
-    rec(0, v, tables[0][v])
-    return out
+def _optimal_count_vectors(values: tuple[int, ...], w: int) -> list[tuple[int, ...]]:
+    """Every representation of the minimal counterexample w that attains
+    the minimal coin count, in lexicographic order; greedy is optimal below
+    w, so the walk looks up greedy counts."""
+    return sorted(_optimal_forms(values, w, partial(_greedy_count, values), lex=False))
 
 
 def disjoint_support_check(

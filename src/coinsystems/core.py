@@ -4,13 +4,15 @@ A coin system is written (1, c2, ..., cn) with strictly increasing values and
 an unlimited supply of each coin.  Optimal counts come from an unbounded
 dynamic program over 0..v; the greedy algorithm repeatedly takes the largest
 coin that fits.  Representations of the same length compare lexicographically
-with the leftmost (smallest-coin) count dominant.
+with the leftmost (smallest-coin) count dominant.  Optimal forms are walked
+down the optimal paths from v, looking up optimal counts below v.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 # Coin values and query amounts must leave headroom so that pairwise sums
 # still fit in unsigned 64-bit arithmetic.
@@ -169,47 +171,46 @@ def _opt_table(values: tuple[int, ...], limit: int) -> list[int]:
     return dp
 
 
-_INF = 1 << 60
+def _optimal_forms(
+    values: tuple[int, ...], v: int, opt: Callable[[int], int], lex: bool
+) -> set[tuple[int, ...]]:
+    """Every optimal representation of v, or with lex only the smallest.
+
+    opt(u) is the optimal count of every u < v.  An optimal form of u less
+    any one of its coins d is an optimal form of u - d, and d is a step of
+    u: opt(u - d) is least.  So the walk visits the amounts the steps reach
+    from v, then fills them upward: the forms of u - d plus e_d, over steps.
+    """
+    steps: dict[int, list[int]] = {}
+    todo = [v]
+    while todo:
+        u = todo.pop()
+        if u in steps:
+            continue
+        sizes = [opt(u - c) for c in values[: bisect_right(values, u)]]
+        least = min(sizes, default=0)
+        steps[u] = [i for i, s in enumerate(sizes) if s == least]
+        todo += [u - values[i] for i in steps[u]]
+    forms = {0: {(0,) * len(values)}}
+    for u in sorted(steps)[1:]:
+        out = {f[:i] + (f[i] + 1,) + f[i + 1 :] for i in steps[u] for f in forms[u - values[i]]}
+        forms[u] = {min(out)} if lex else out
+    return forms[v]
 
 
-def _suffix_opt_tables(values: tuple[int, ...], limit: int) -> list[list[int]]:
-    """tables[i][u] = minimal coins for u drawing only from values[i:]."""
-    n = len(values)
-    tables = [[0] + [_INF] * limit]
-    for i in range(n - 1, -1, -1):
-        c = values[i]
-        # start from the table for values[i+1:]; fold in coin c
-        row = tables[-1][:]
-        for u in range(c, limit + 1):
-            cand = row[u - c] + 1
-            if cand < row[u]:
-                row[u] = cand
-        tables.append(row)
-    tables.reverse()
-    # tables[0..n], where tables[n] allows no coins at all
-    return tables
-
-
-def _lex_smallest_counts(values: tuple[int, ...], v: int) -> list[int]:
+def _lex_smallest_counts(
+    values: tuple[int, ...], v: int, opt: Callable[[int], int]
+) -> list[int]:
     """Counts of the lexicographically smallest optimal representation.
 
-    Any globally optimal representation completes each suffix optimally, so
-    position by position the smallest count keeping the remaining suffix
-    minimum on budget is taken.
+    opt(u) is the optimal count of every u < v.  Remove any coin d from the
+    smallest optimal form L of u: what is left is the smallest optimal form
+    of u - d, since a smaller one plus e_d would be an optimal form of u
+    below L.  So L is the smallest of (smallest form of u - d) + e_d over
+    the steps of u, and keeping one form per amount of the walk is exact.
     """
-    tables = _suffix_opt_tables(values, v)
-    counts = []
-    u = v
-    budget = tables[0][v]
-    for i, c in enumerate(values):
-        nxt = tables[i + 1]
-        t = 0
-        while nxt[u - t * c] != budget - t:
-            t += 1
-        counts.append(t)
-        u -= t * c
-        budget -= t
-    return counts
+    (form,) = _optimal_forms(values, v, opt, lex=True)
+    return list(form)
 
 
 # ---------- public operations ----------
@@ -245,7 +246,8 @@ def lex_smallest_optimal(
     """The lexicographically smallest among all optimal representations of v."""
     _check_amount(v)
     _check_cap(v, cap)
-    return Representation(system, tuple(_lex_smallest_counts(system.values, v)))
+    counts = _lex_smallest_counts(system.values, v, _opt_table(system.values, v).__getitem__)
+    return Representation(system, tuple(counts))
 
 
 def lex_compare(x: Representation, y: Representation) -> int:

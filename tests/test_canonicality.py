@@ -23,7 +23,13 @@ from coinsystems import (
     pattern,
     sum_pair_counterexample,
 )
-from coinsystems.canonicality import _candidate_verdict, _failing_candidates, _scan_from
+from coinsystems.canonicality import (
+    _candidate_verdict,
+    _failing_candidates,
+    _optimal_count_vectors,
+    _scan_from,
+    _witness,
+)
 from coinsystems.core import _opt_table
 
 from bruteforce import (
@@ -32,6 +38,7 @@ from bruteforce import (
     ref_all_optimal,
     ref_greedy_count,
     ref_is_orderly,
+    ref_lex_smallest_optimal,
     ref_min_counterexample,
 )
 
@@ -185,14 +192,20 @@ def test_failing_candidates_are_minimal_counterexamples(values):
 
 
 def test_candidate_route_uses_no_dp_table(monkeypatch):
-    """The candidate step and its folds run on greedy counts alone: with
-    every oracle scan and DP table made unusable they give the same results."""
+    """The candidate step, its folds and is_orderly's witness run on greedy
+    counts alone: with every oracle scan and DP table made unusable they
+    give the same results."""
     import coinsystems.canonicality as canonicality
     import coinsystems.core as core
 
     systems = [(1, 3, 4), (1, 2, 5, 6), (1, 5, 10, 25), (1, 2, 4, 5, 7, 9, 12, 17)]
     expected = [
-        (_failing_candidates(v), counterexample_candidates(CoinSystem(v)), pattern(CoinSystem(v)))
+        (
+            _failing_candidates(v),
+            counterexample_candidates(CoinSystem(v)),
+            pattern(CoinSystem(v)),
+            is_orderly(CoinSystem(v)),
+        )
         for v in systems
     ]
 
@@ -200,14 +213,15 @@ def test_candidate_route_uses_no_dp_table(monkeypatch):
         raise AssertionError("DP table or oracle scan used")
 
     for module in (core, canonicality):
-        for name in ("_scan_from", "_min_counterexample", "_opt_table", "_suffix_opt_tables"):
+        for name in ("_scan_from", "_min_counterexample", "_opt_table"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, boom)
-    for v, (fails, cands, marks) in zip(systems, expected):
+    for v, (fails, cands, marks, report) in zip(systems, expected):
         assert _failing_candidates(v) == fails
         assert _candidate_verdict(v) == (fails[-1] is None)
         assert counterexample_candidates(CoinSystem(v)) == cands
         assert pattern(CoinSystem(v)) == marks
+        assert is_orderly(CoinSystem(v)) == report
 
 
 # ---------- verdicts and witnesses ----------
@@ -229,6 +243,36 @@ def test_witness_fields():
     assert w.greedy_count == 3
     assert w.optimal.counts == (0, 0, 2, 0)
     assert w.opt_count == 2
+
+
+def test_witness_forms_match_reference_exhaustively():
+    """Every non-orderly system of three to five coins up to 16: at the
+    minimal counterexample the walk down greedy counts gives the reference's
+    lex-smallest optimal form and every optimal form, in order."""
+    for n in range(3, 6):
+        for rest in combinations(range(2, 17), n - 1):
+            values = (1, *rest)
+            m = min_counterexample_oracle(CoinSystem(values))
+            if m is None:
+                continue
+            assert _witness(CoinSystem(values), m).optimal.counts == ref_lex_smallest_optimal(
+                values, m
+            )
+            assert _optimal_count_vectors(values, m) == sorted(ref_all_optimal(values, m))
+
+
+def test_large_witness_needs_no_table():
+    """M = 5,000,000 of (1, 2500000, 2500001) is witnessed in well under a
+    megabyte: the optimal form is walked, not tabulated."""
+    tracemalloc.start()
+    try:
+        report = is_orderly(CoinSystem((1, 2_500_000, 2_500_001)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.witness.value == 5_000_000
+    assert report.witness.optimal.counts == (0, 2, 0)
+    assert peak < 1 << 20
 
 
 @pytest.mark.property_based

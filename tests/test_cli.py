@@ -3,9 +3,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+import coinsystems
 from coinsystems import InternalDisagreementError
 from coinsystems.cli import main
 
@@ -277,7 +282,10 @@ def test_witness_disagreement_exits_three(capsys, monkeypatch):
     greedy there is a disagreement, reported without a traceback."""
     from coinsystems.core import _greedy_counts
 
-    monkeypatch.setattr("coinsystems.canonicality._lex_smallest_counts", _greedy_counts)
+    def greedy_form(values, v, opt):
+        return _greedy_counts(values, v)
+
+    monkeypatch.setattr("coinsystems.canonicality._lex_smallest_counts", greedy_form)
     assert main(["check", "1,3,4", "--pearson"]) == 3
     captured = capsys.readouterr()
     assert "internal disagreement" in captured.err
@@ -318,6 +326,16 @@ def test_pearson_witness_ignores_the_window(capsys, values, m):
     assert (rec["greedy_count"], rec["opt_count"]) == (sum(greedy), sum(optimal))
 
 
+def test_pearson_walks_a_deep_chain(capsys):
+    """M = 6,002,000 = 2000 * 3001: its optimal form is reached through 2000
+    amounts in a row, each with one optimal step."""
+    code, records = run_json(capsys, ["check", "1,3001,5999500", "--pearson"])
+    assert code == 0
+    assert records[0]["min_counterexample"] == 6_002_000
+    assert records[0]["optimal_repr"] == "0,2000,0"
+    assert records[0]["opt_count"] == 2000
+
+
 def test_pearson_and_pattern_never_scan_the_oracle(capsys, monkeypatch):
     """check --pearson and pattern give the same records with the oracle
     scan made unusable."""
@@ -341,3 +359,36 @@ def test_jobs_below_one_is_a_usage_error(capsys, command, jobs):
         main(command + ["--max", "10", "--jobs", jobs])
     assert err.value.code == 2
     assert "--jobs" in capsys.readouterr().err
+
+
+# ---------- several commands in one process ----------
+
+
+def _run_captured(argv):
+    """(exit code, stdout, stderr) of main in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_commands_in_one_process_match_fresh_runs():
+    """Commands run one after another in a process give what each gives
+    alone, in a fresh interpreter, usage errors included."""
+    argvs = [
+        ["check", "1,5,15,20"],
+        ["check", "1,2,x"],
+        ["pattern", "1,2,5,6,10"],
+        ["check", "1,5,15,20", "--pearson"],
+    ]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(coinsystems.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    for argv in argvs:
+        alone = subprocess.run(
+            [sys.executable, "-m", "coinsystems", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert _run_captured(argv) == (alone.returncode, alone.stdout, alone.stderr)

@@ -1,5 +1,7 @@
 """Tests for coin systems, representations, and the two change makers."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -143,6 +145,17 @@ def test_lex_smallest_known_values():
     assert lex_smallest_optimal(c, 1).counts == (1, 0, 0)
     assert lex_smallest_optimal(c, 6).counts == (0, 2, 0)
     assert lex_smallest_optimal(c, 0).counts == (0, 0, 0)
+
+
+def test_lex_smallest_matches_reference_exhaustively():
+    """Every system with at most five coins up to 10, at every amount below
+    20: the walk over optimal paths picks the reference's form."""
+    for n in range(1, 6):
+        for rest in combinations(range(2, 11), n - 1):
+            values = (1, *rest)
+            c = CoinSystem(values)
+            for v in range(20):
+                assert lex_smallest_optimal(c, v).counts == ref_lex_smallest_optimal(values, v)
 
 
 def test_lex_compare_known_values():
