@@ -10,10 +10,14 @@ new coin can use it).  Under a coin c at or below w the scan resumes at c
 from the parent's table cut at c, since c changes no count below c.  A
 deterministic sample of verdicts is re-checked by a from-scratch scan.
 
-The conjecture scan looks for systems whose pattern is (+++-...-+).  It
-scans each non-orderly 4-prefix once and resumes below it as the census
-does.  Inside a subtree where every added coin exceeds the inherited w, all
-leaves stay non-orderly, so no finding can appear and the subtree is
+The conjecture scan looks for systems whose pattern is (+++-...-+).  A
+pattern is a property of the chain of prefixes, so one walk of each c2
+partition serves every requested length: below an orderly 3-prefix and a
+non-orderly 4-prefix, a non-orderly node is descended while a longer length
+is requested, and an orderly node at a requested length is a finding.  Each
+non-orderly 4-prefix is scanned once and the walk resumes below it as the
+census does.  Inside a subtree where every added coin exceeds the inherited
+w, all leaves stay non-orderly, so no finding can appear and the subtree is
 skipped; every emitted finding is re-verified per prefix by the oracle.
 
 The agreement sweep walks the same tree carrying each node's first failure w
@@ -215,45 +219,45 @@ def summarize_findings(findings: Iterable[ConjectureFinding]) -> ConjectureSumma
     )
 
 
-def _scan_partition(args: tuple[int, int, int, int]) -> list[tuple[int, ...]]:
-    n, max_cn, c2, sample_mod = args
-    found: list[tuple[int, ...]] = []
+def _scan_partition(
+    args: tuple[tuple[int, ...], int, int, int]
+) -> dict[int, list[tuple[int, ...]]]:
+    lengths, max_cn, c2, sample_mod = args
+    deepest = lengths[-1]
+    # a coin at depth d leaves room for the shortest requested length >= d
+    slack = [min(n for n in lengths if n >= d) - d for d in range(deepest + 1)]
+    found: dict[int, list[tuple[int, ...]]] = {n: [] for n in lengths}
 
-    def rec(values: tuple[int, ...], w: int, grd: list[int]) -> None:
+    def rec(values: tuple[int, ...], w: int | None, grd: list[int] | None, h: int) -> None:
+        # w is None while values is an orderly 2- or 3-prefix.  Otherwise
         # values is not orderly, with minimal counterexample w and greedy
-        # counts up to w in grd.  A leaf needs '+' and the middle marks '-';
-        # beyond w every leaf below stays '-', so the subtree is skipped.
-        # Each child resumes the scan at its new coin.
+        # counts up to w in grd; beyond w every leaf below stays '-', so the
+        # subtree is skipped, and each child resumes the scan at its new coin.
         depth = len(values) + 1
-        for c in range(values[-1] + 1, min(w, max_cn - (n - depth)) + 1):
+        top = max_cn - slack[depth]
+        for c in range(values[-1] + 1, (top if w is None else min(w, top)) + 1):
             child = values + (c,)
-            cgrd = grd[:c]
-            cw = _scan_from(child, cgrd, c)
-            if depth == n:
+            if depth > 4:
+                cgrd = grd[:c]
+                cw = _scan_from(child, cgrd, c)
                 if cw is None:
-                    found.append(child)
-            elif cw is not None:
-                rec(child, cw, cgrd)
+                    if depth in found:
+                        found[depth].append(child)
+                elif depth < deepest:
+                    rec(child, cw, cgrd, h)
+                continue
+            # the first three marks must be '+', the fourth '-'
+            orderly, cw = _extend_verdict(child)
+            ch = ((h ^ c) * 16777619) & 0xFFFFFFFF
+            if sample_mod and ch % sample_mod == 0:
+                _spot_check(child, orderly, cw)
+            if orderly and depth == 3:
+                rec(child, None, None, ch)
+            elif not orderly and depth == 4:
+                cgrd = [0]
+                rec(child, _scan_from(child, cgrd, 1), cgrd, ch)
 
-    # the first three marks must be '+', the fourth '-'
-    h2 = _fingerprint((1, c2))
-    for c3 in range(c2 + 1, max_cn - (n - 3) + 1):
-        three = (1, c2, c3)
-        o3, w3 = _extend_verdict(three)
-        h3 = ((h2 ^ c3) * 16777619) & 0xFFFFFFFF
-        if sample_mod and h3 % sample_mod == 0:
-            _spot_check(three, o3, w3)
-        if not o3:
-            continue
-        for c4 in range(c3 + 1, max_cn - (n - 4) + 1):
-            four = three + (c4,)
-            o4, w4 = _extend_verdict(four)
-            h4 = ((h3 ^ c4) * 16777619) & 0xFFFFFFFF
-            if sample_mod and h4 % sample_mod == 0:
-                _spot_check(four, o4, w4)
-            if not o4:
-                grd = [0]
-                rec(four, _scan_from(four, grd, 1), grd)
+    rec((1, c2), None, None, _fingerprint((1, c2)))
     return found
 
 
@@ -277,21 +281,26 @@ def conjecture_scan(
 ) -> list[ConjectureFinding]:
     """Find every system with pattern (+++-...-+) within the bounds.
 
+    One walk of each c2 partition serves every requested length.  Findings
+    come per requested length, in the order the lengths are given (a repeated
+    length repeats its findings), and in lexicographic order within a length.
     Each finding is re-verified prefix by prefix against the oracle and
-    looked up in the fixed-gap families; results are in lexicographic order
-    within each requested length.
+    looked up in the fixed-gap families; each sampled 3- or 4-prefix is
+    spot-checked once.
     """
-    findings: list[ConjectureFinding] = []
+    lengths = list(lengths)
     mod = _sample_modulus(sample_rate)
+    if any(n < 5 for n in lengths):
+        raise ValueError("the target pattern needs at least five values")
+    walked = tuple(sorted({n for n in lengths if n <= max_cn}))
+    if not walked:
+        return []
+    args = [(walked, max_cn, c2, mod) for c2 in range(2, max_cn - walked[0] + 3)]
+    partials = _run_partitions(_scan_partition, args, jobs)
+    findings: list[ConjectureFinding] = []
     for n in lengths:
-        if n < 5:
-            raise ValueError("the target pattern needs at least five values")
-        if max_cn < n:
-            continue
-        args = [(n, max_cn, c2, mod) for c2 in range(2, max_cn - n + 3)]
-        partials = _run_partitions(_scan_partition, args, jobs)
         for part in partials:
-            for values in part:
+            for values in part.get(n, ()):
                 if _oracle_marks(values) != _target_marks(n):
                     raise InternalDisagreementError(
                         f"scan emitted {values} but the oracle rejects its pattern"

@@ -17,6 +17,7 @@ from coinsystems import (
     summarize_findings,
 )
 
+from coinsystems import search
 from coinsystems.canonicality import _candidate_step, _candidate_verdict
 
 from bruteforce import ref_is_orderly, ref_min_counterexample, ref_pattern
@@ -219,6 +220,75 @@ def test_conjecture_scan_eight_values_finds_an_outsider():
     ]
     assert summary.forbidden_length == ()
     assert not summary.ok
+
+
+def test_conjecture_scan_fails_fast_on_a_bad_length(monkeypatch):
+    """A bad length is rejected before any partition is walked."""
+
+    def no_scan(values, grd, start):
+        raise AssertionError(f"scanned {values} before the lengths were checked")
+
+    monkeypatch.setattr("coinsystems.search._scan_from", no_scan)
+    with pytest.raises(ValueError):
+        conjecture_scan([5, 4], 20)
+
+
+@pytest.mark.parametrize("lengths", [[8, 5, 6], [5, 5, 6], [6, 21, 5]])
+def test_conjecture_scan_lengths_share_one_walk(lengths):
+    """Several lengths in one walk give each length's own scan, in the order
+    the lengths were given, repeats included."""
+    expected = [f for n in lengths for f in conjecture_scan([n], 20)]
+    assert len(expected) > 7
+    assert conjecture_scan(lengths, 20) == expected
+
+
+def test_conjecture_scan_visits_each_prefix_once(monkeypatch):
+    """The lengths 5..8 share one walk: every oracle scan and every sampled
+    spot-check of the four single-length walks runs exactly once."""
+    lengths, max_cn, sample_rate = [5, 6, 7, 8], 24, 0.05
+    scan_from, spot_check = search._scan_from, search._spot_check
+    scans, spots = [], []
+
+    def scan(values, grd, start):
+        scans.append((values, start))
+        return scan_from(values, grd, start)
+
+    def spot(values, orderly, w):
+        spots.append(values)
+        return spot_check(values, orderly, w)
+
+    monkeypatch.setattr("coinsystems.search._scan_from", scan)
+    monkeypatch.setattr("coinsystems.search._spot_check", spot)
+    conjecture_scan(lengths, max_cn, sample_rate=sample_rate)
+    shared_scans, shared_spots = list(scans), list(spots)
+    assert len(set(shared_scans)) == len(shared_scans)
+    assert len(set(shared_spots)) == len(shared_spots)
+
+    scans.clear()
+    spots.clear()
+    for n in lengths:
+        conjecture_scan([n], max_cn, sample_rate=sample_rate)
+    assert set(shared_scans) == set(scans)
+    assert set(shared_spots) == set(spots)
+
+    # the sample: every 3-prefix and every 4-prefix below an orderly
+    # 3-prefix that leaves room for five values, whose hash hits the modulus
+    prefixes = [
+        (1,) + combo for combo in combinations(range(2, max_cn - 1), 2)
+    ] + [
+        (1,) + combo
+        for combo in combinations(range(2, max_cn), 3)
+        if ref_is_orderly((1,) + combo[:2])
+    ]
+    sampled = [v for v in prefixes if search._fingerprint(v) % 20 == 0]
+    assert sampled
+    assert sorted(shared_spots) == sorted(sampled)
+
+
+def test_conjecture_scan_lengths_are_deterministic_across_jobs():
+    one = conjecture_scan([5, 6, 7, 8], 24, jobs=1)
+    assert len(one) == 18
+    assert conjecture_scan([5, 6, 7, 8], 24, jobs=2) == one
 
 
 # ---------- summaries ----------
