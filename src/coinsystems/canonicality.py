@@ -24,7 +24,6 @@ from .core import (
     _greedy_count,
     _greedy_counts,
     _lex_smallest_counts,
-    _opt_table,
     _optimal_forms,
 )
 
@@ -310,31 +309,57 @@ def sum_pair_counterexample(system: CoinSystem) -> tuple[int, int] | None:
 
     Scans pairs (i, j), 0-based with 1 <= i <= j <= n-2, whose coin sum
     exceeds cn, in ascending order; returns the first pair whose sum is a
-    counterexample of the full system, else None.
+    counterexample of the full system, else None.  Each column j is decided
+    by the two-coin-sum lemma of _pair_counterexample, without a DP table.
     """
     values = system.values
     n = len(values)
     if n < 4:
         raise ValueError("need at least four coin values")
-    limit = 2 * values[-2]
-    if limit <= values[-1]:
-        return None
-    dp = _opt_table(values, limit)
-    for i in range(1, n - 1):
-        for j in range(i, n - 1):
-            s = values[i] + values[j]
-            if s > values[-1] and _greedy_count(values, s) > dp[s]:
-                return (i, j)
-    return None
+    pairs = []
+    for j in range(1, n - 1):
+        s = _pair_counterexample(values, j)
+        if s is not None:
+            pairs.append((values.index(s - values[j]), j))
+    return min(pairs, default=None)
 
 
 # ---------- necessary-condition filters ----------
 
 
-def gap_filter(system: CoinSystem) -> bool:
-    """Necessary for orderliness: every gap is at least c2 - 1.
+def _pair_counterexample(values: tuple[int, ...], j: int) -> int | None:
+    """Smallest sum x + y, over coins x <= y = values[j] with x + y above the
+    top coin, that greedy overpays; None when there is none.
 
-    A False verdict proves the system is not orderly; True says nothing.
+    Lemma (two-coin sums).  Let c be the top coin and s = x + y > c for
+    coins x <= y < c, so s < 2c.  No coin lies above c, so opt(s) = 2.
+    Greedy takes c once and then pays greedy(s - c), with 0 < s - c < c, and
+    that is one coin iff s - c is a coin.  So s is a counterexample iff
+    s - c is not a coin; it need not be the minimal one.
+
+    With y = t = c(n-1) and g = c - t this is a shift by the top gap: for a
+    coin x > g, greedy pays x + t as c plus greedy(x - g), so x + t fails
+    unless x - g is a coin.  Taking x = t, an orderly system has c >= 2t or
+    c = 2t - p for a coin p.  An amount returned lies below c(n-1) + c and
+    proves the system is not orderly; None proves nothing.
+    """
+    c, y = values[-1], values[j]
+    for x in values[bisect_right(values, c - y) : j + 1]:
+        if x + y - c not in values:
+            return x + y
+    return None
+
+
+def gap_filter(system: CoinSystem) -> bool:
+    """Tag systems with a gap narrower than c2 - 1, which are conjectured
+    not orderly.
+
+    Only the top gap's bound is proved: a top gap g <= c2 - 2 makes
+    c2 + c(n-1) a counterexample by _pair_counterexample's lemma with
+    x = c2, since c2 - g lies strictly between 1 and c2.  The inner gaps
+    rest on tested evidence alone (the filters' property test and the
+    structural acceptance suites), not on a proof, so no sweep prunes by
+    this filter.
     """
     values = system.values
     if len(values) < 2:

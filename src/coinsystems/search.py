@@ -7,8 +7,11 @@ and a non-orderly prefix carries its minimal failing amount w and the oracle
 scan's one table, of greedy counts up to w.  Under a coin larger than w it
 stays non-orderly with the same w (no representation of an amount below the
 new coin can use it).  Under a coin c at or below w the scan resumes at c
-from the parent's table cut at c, since c changes no count below c.  A
-deterministic sample of verdicts is re-checked by a from-scratch scan.
+from the parent's table cut at c, since c changes no count below c, except
+at a leaf: its mark needs a failing amount, not the minimal one, so a leaf
+takes the two-coin-sum lemma's amount (canonicality._pair_counterexample)
+when there is one and is scanned only otherwise.  A deterministic sample of
+verdicts is re-checked by a from-scratch scan.
 
 The conjecture scan looks for systems whose pattern is (+++-...-+).  A
 pattern is a property of the chain of prefixes, so one walk of each c2
@@ -18,7 +21,11 @@ is requested, and an orderly node at a requested length is a finding.  Each
 non-orderly 4-prefix is scanned once and the walk resumes below it as the
 census does.  Inside a subtree where every added coin exceeds the inherited
 w, all leaves stay non-orderly, so no finding can appear and the subtree is
-skipped; every emitted finding is re-verified per prefix by the oracle.
+skipped.  A node no longer length can grow from is a leaf: only its own
+verdict matters, so it is scanned only if the two-coin-sum lemma finds no
+counterexample among the sums of c(n-1) and a coin; interior nodes are always
+scanned, since their w and table feed their children.  Every emitted finding
+is re-verified per prefix by the oracle.
 
 The agreement sweep walks the same tree carrying each node's first failure w
 and the oracle's table ending at w; a child inherits w under a larger coin and
@@ -34,7 +41,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .canonicality import InternalDisagreementError, _candidate_step, _min_counterexample
-from .canonicality import _one_point, _scan_from, gap_filter, jump_filter
+from .canonicality import _one_point, _pair_counterexample, _scan_from, gap_filter, jump_filter
 from .core import CoinSystem, _greedy_count, _opt_table
 from .families import FamilyParams, family_membership
 
@@ -145,8 +152,11 @@ def _census_partition(args: tuple[int, int, int, int]) -> dict[str, int]:
             elif c > w:
                 w2 = w
             else:
-                cgrd = grd[:c]
-                w2 = _scan_from(child, cgrd, c)
+                # a leaf needs a failing amount, not the minimal one
+                w2 = None if remaining else _pair_counterexample(child, n - 2)
+                if w2 is None:
+                    cgrd = grd[:c]
+                    w2 = _scan_from(child, cgrd, c)
             # FNV-1a of child, folded on from the parent's hash
             ch = ((h ^ c) * 16777619) & 0xFFFFFFFF
             if sample_mod and ch % sample_mod == 0:
@@ -232,12 +242,17 @@ def _scan_partition(
         # w is None while values is an orderly 2- or 3-prefix.  Otherwise
         # values is not orderly, with minimal counterexample w and greedy
         # counts up to w in grd; beyond w every leaf below stays '-', so the
-        # subtree is skipped, and each child resumes the scan at its new coin.
+        # subtree is skipped, and each child resumes the scan at its new coin
+        # unless it is a leaf the two-coin-sum lemma rejects.
         depth = len(values) + 1
         top = max_cn - slack[depth]
+        # a child from this coin up leaves no room for a longer length
+        leaf_from = 0 if depth == deepest else max_cn - slack[depth + 1]
         for c in range(values[-1] + 1, (top if w is None else min(w, top)) + 1):
             child = values + (c,)
             if depth > 4:
+                if c >= leaf_from and _pair_counterexample(child, depth - 2) is not None:
+                    continue
                 cgrd = grd[:c]
                 cw = _scan_from(child, cgrd, c)
                 if cw is None:

@@ -27,6 +27,7 @@ from coinsystems.canonicality import (
     _candidate_verdict,
     _failing_candidates,
     _optimal_count_vectors,
+    _pair_counterexample,
     _scan_from,
     _witness,
 )
@@ -40,6 +41,7 @@ from bruteforce import (
     ref_is_orderly,
     ref_lex_smallest_optimal,
     ref_min_counterexample,
+    ref_opt_count,
 )
 
 
@@ -371,6 +373,41 @@ def test_sum_pair_is_a_counterexample(values):
 
 
 # ---------- necessary-condition filters ----------
+
+
+def test_pair_counterexample_is_sound_exhaustively():
+    """Every amount the two-coin-sum lemma returns, in any column, is a
+    counterexample inside the scan window, so no orderly system is ever
+    rejected.  In the top column (the sweeps' leaf test) it rejects 14,847
+    of the 16,644 systems with 3 to 6 values and cn <= 20."""
+    systems = rejected = 0
+    for n in range(3, 7):
+        for combo in combinations(range(2, 21), n - 1):
+            values = (1,) + combo
+            systems += 1
+            amounts = [_pair_counterexample(values, j) for j in range(1, n - 1)]
+            rejected += amounts[-1] is not None
+            if ref_is_orderly(values):
+                assert amounts == [None] * (n - 2), values
+            for s in amounts:
+                if s is not None:
+                    assert values[-1] < s < values[-2] + values[-1], (values, s)
+                    assert ref_greedy_count(values, s) > ref_opt_count(values, s), (values, s)
+    assert (systems, rejected) == (16_644, 14_847)
+
+
+def test_pair_counterexample_known_values():
+    # (1,2,4,5,8) is orderly: 4 + 5 and 5 + 5 leave the coins 1 and 2 after 8
+    assert _pair_counterexample((1, 2, 4, 5, 8), 3) is None
+    # (1,3,4): 3 + 3 leaves 2 after 4, its minimal counterexample 6
+    assert _pair_counterexample((1, 3, 4), 1) == 6
+    # (1,2,5,6): 2 + 5 leaves the coin 1, but 5 + 5 leaves 4
+    assert _pair_counterexample((1, 2, 5, 6), 2) == 10
+    # a top gap of c2 - 2 = 2 makes c2 + c(n-1) fail; 4 + 4 leaves the coin 1
+    assert _pair_counterexample((1, 4, 5, 7), 2) == 9
+    assert _pair_counterexample((1, 4, 5, 7), 1) is None
+    # no two coins below the top sum past it
+    assert _pair_counterexample((1, 2, 3, 7), 2) is None
 
 
 def test_gap_filter_known_values():

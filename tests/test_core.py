@@ -26,6 +26,17 @@ from bruteforce import (
 )
 
 
+# ---------- the public interface ----------
+
+
+def test_public_names_do_not_grow():
+    """A ratchet on the package's public names: new helpers stay private."""
+    import coinsystems
+
+    assert len(coinsystems.__all__) <= 44
+    assert not [name for name in coinsystems.__all__ if name.startswith("_")]
+
+
 # ---------- value objects ----------
 
 

@@ -1,5 +1,6 @@
 """Tests for enumeration, the pattern census, and the conjecture scan."""
 
+from collections import Counter
 from itertools import combinations
 from math import comb
 
@@ -18,7 +19,7 @@ from coinsystems import (
 )
 
 from coinsystems import search
-from coinsystems.canonicality import _candidate_step, _candidate_verdict
+from coinsystems.canonicality import _candidate_step, _candidate_verdict, _pair_counterexample
 
 from bruteforce import ref_is_orderly, ref_min_counterexample, ref_pattern
 
@@ -85,6 +86,45 @@ def test_pattern_census_full_sampling():
     assert pattern_census(spec, sample_rate=1.0) == pattern_census(spec)
     with pytest.raises(ValueError):
         pattern_census(spec, sample_rate=1.5)
+
+
+def test_pattern_census_leaves_take_the_lemma_amount(monkeypatch):
+    """Under a non-orderly parent with minimal counterexample w, a leaf whose
+    top coin is at most w is marked by the two-coin-sum lemma's amount when
+    there is one, with no scan, and by its resumed scan otherwise; at sample
+    rate 1 every such amount is spot-checked as a counterexample."""
+    n, max_cn = 6, 16
+    scan_from, spot_check = search._scan_from, search._spot_check
+    scanned, spotted = [], {}
+
+    def scan(values, grd, start):
+        scanned.append(values)
+        return scan_from(values, grd, start)
+
+    def spot(values, orderly, w):
+        spotted[values] = w
+        return spot_check(values, orderly, w)
+
+    monkeypatch.setattr("coinsystems.search._scan_from", scan)
+    monkeypatch.setattr("coinsystems.search._spot_check", spot)
+    assert pattern_census(EnumSpec(n=n, max_cn=max_cn), sample_rate=1.0) == pattern_census(
+        EnumSpec(n=n, max_cn=max_cn), sample_rate=0.0
+    )
+    leaves = [v for v in scanned if len(v) == n]
+    assert leaves
+    assert all(_pair_counterexample(v, n - 2) is None for v in leaves)
+
+    by_lemma = 0
+    for combo in combinations(range(2, max_cn + 1), n - 1):
+        values = (1,) + combo
+        w = ref_min_counterexample(values[:-1])
+        if w is None or values[-1] > w:
+            continue
+        amount = _pair_counterexample(values, n - 2)
+        by_lemma += amount is not None
+        expected = ref_min_counterexample(values) if amount is None else amount
+        assert spotted[values] == expected, values
+    assert by_lemma
 
 
 # ---------- agreement sweep ----------
@@ -283,6 +323,35 @@ def test_conjecture_scan_visits_each_prefix_once(monkeypatch):
     sampled = [v for v in prefixes if search._fingerprint(v) % 20 == 0]
     assert sampled
     assert sorted(shared_spots) == sorted(sampled)
+
+
+def test_conjecture_scan_at_the_benchmark_bound():
+    """The scan benchmark's walk, lengths 5..8 with c8 <= 36: the findings
+    per length and the one outside the fixed-gap families."""
+    findings = conjecture_scan([5, 6, 7, 8], 36)
+    per_length = Counter(len(f.system) for f in findings)
+    assert [per_length[n] for n in (5, 6, 7, 8)] == [15, 12, 0, 7]
+    assert [f.system.values for f in findings if f.membership is None] == [
+        (1, 2, 4, 5, 7, 9, 12, 17)
+    ]
+
+
+def test_conjecture_scan_scans_no_rejected_leaf(monkeypatch):
+    """A system no longer requested length can grow from (length 8, or a top
+    coin at the bound) is scanned only if the two-coin-sum lemma passes it."""
+    max_cn = 24
+    scan_from = search._scan_from
+    scanned = []
+
+    def scan(values, grd, start):
+        scanned.append(values)
+        return scan_from(values, grd, start)
+
+    monkeypatch.setattr("coinsystems.search._scan_from", scan)
+    findings = conjecture_scan([5, 6, 7, 8], max_cn)
+    leaves = [v for v in scanned if len(v) == 8 or v[-1] == max_cn]
+    assert {f.system.values for f in findings if len(f.system) == 8} <= set(leaves)
+    assert all(_pair_counterexample(v, len(v) - 2) is None for v in leaves)
 
 
 def test_conjecture_scan_lengths_are_deterministic_across_jobs():
