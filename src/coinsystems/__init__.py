@@ -5,7 +5,7 @@ with an unlimited supply of each coin.  The package decides whether the
 greedy algorithm is optimal for every amount (the system is then *orderly*),
 locates minimal counterexamples, classifies small systems in closed form,
 generates fixed-gap families with a prescribed orderliness pattern, and runs
-exhaustive searches over bounded enumerations.
+exhaustive prefix-tree sweeps over bounded systems.
 """
 
 from .core import (
@@ -16,21 +16,17 @@ from .core import (
     ResourceLimitError,
     greedy_count,
     greedy_representation,
-    lex_compare,
     lex_smallest_optimal,
     opt_count,
 )
 from .canonicality import (
     InternalDisagreementError,
-    counterexample_candidates,
     disjoint_support_check,
     gap_filter,
     is_orderly,
-    is_tight,
     jump_filter,
     min_counterexample_oracle,
     one_point_check,
-    sum_pair_counterexample,
 )
 from .characterize import (
     classify6,
@@ -55,10 +51,8 @@ from .families import (
 )
 from .search import (
     ConjectureFinding,
-    EnumSpec,
     agreement_sweep,
     conjecture_scan,
-    enumerate_systems,
     pattern_census,
     summarize_findings,
 )
@@ -67,7 +61,6 @@ __all__ = [
     "CoinSystem",
     "ConjectureFinding",
     "DEFAULT_VALUE_CAP",
-    "EnumSpec",
     "FamilyParams",
     "FixedGapSpec",
     "InternalDisagreementError",
@@ -77,9 +70,7 @@ __all__ = [
     "agreement_sweep",
     "classify6",
     "conjecture_scan",
-    "counterexample_candidates",
     "disjoint_support_check",
-    "enumerate_systems",
     "family_membership",
     "fixed_gap_prefix_check",
     "gap_filter",
@@ -91,10 +82,8 @@ __all__ = [
     "greedy_representation",
     "implied_pattern",
     "is_orderly",
-    "is_tight",
     "is_totally_orderly",
     "jump_filter",
-    "lex_compare",
     "lex_smallest_optimal",
     "min_counterexample_oracle",
     "one_point_check",
@@ -105,7 +94,6 @@ __all__ = [
     "pattern",
     "pattern_census",
     "regenerate_six_value",
-    "sum_pair_counterexample",
     "summarize_findings",
     "verify_target_pattern",
 ]

@@ -16,10 +16,8 @@ from dataclasses import dataclass
 from functools import partial
 
 from .core import (
-    DEFAULT_VALUE_CAP,
     CoinSystem,
     Representation,
-    ResourceLimitError,
     _check_cap,
     _greedy_count,
     _greedy_counts,
@@ -80,7 +78,7 @@ def _scan_from(values: tuple[int, ...], grd: list[int], start: int) -> int | Non
         k += 1
 
 
-def _min_counterexample(values: tuple[int, ...], cap: int = DEFAULT_VALUE_CAP) -> int | None:
+def _min_counterexample(values: tuple[int, ...]) -> int | None:
     """Smallest amount where greedy is not optimal, or None when orderly.
 
     Scans from amount 1 over the window below c(n-1)+cn, which holds the
@@ -89,42 +87,23 @@ def _min_counterexample(values: tuple[int, ...], cap: int = DEFAULT_VALUE_CAP) -
     """
     if len(values) <= 2:
         return None
-    hi = values[-2] + values[-1]
-    if hi - 1 > cap:
-        raise ResourceLimitError(f"scan bound {hi - 1} exceeds the DP table cap {cap}")
+    _check_cap(values[-2] + values[-1] - 1)
     return _scan_from(values, [0], 1)
 
 
-def min_counterexample_oracle(
-    system: CoinSystem, *, cap: int = DEFAULT_VALUE_CAP
-) -> int | None:
+def min_counterexample_oracle(system: CoinSystem) -> int | None:
     """Smallest counterexample to greedy optimality, or None when orderly."""
-    return _min_counterexample(system.values, cap)
+    return _min_counterexample(system.values)
 
 
 # ---------- candidate test ----------
 
 
-@dataclass(frozen=True)
-class CounterexampleCandidate:
-    """One candidate produced from the greedy vector of c(source_k) - 1.
-
-    The first p entries of that vector are zeroed and the entry at 0-based
-    index p is raised by one; the candidate is the amount the modified vector
-    represents.  If the system has a counterexample at all, its smallest one
-    shows up here.
-    """
-
-    source_k: int
-    p: int
-    value: int
-    vector: Representation
-
-
-def _level_candidates(values: tuple[int, ...]) -> tuple[list[int], list[tuple[int, int]]]:
-    """The greedy vector of c - 1 for the top coin c, and the candidates
-    from it as (amount, coins in the candidate vector) for p = 1, 2, ...;
-    amounts are at least c and depend on no coin above c."""
+def _level_candidates(values: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The candidates from the greedy vector of c - 1 for the top coin c:
+    its first p entries zeroed and entry p raised by one, for p = 1, 2, ...,
+    as (amount, coins in the candidate vector); amounts are at least c and
+    depend on no coin above c."""
     c = values[-1]
     base = _greedy_counts(values, c - 1)
     w, size, out = c - 1, sum(base), []
@@ -133,21 +112,6 @@ def _level_candidates(values: tuple[int, ...]) -> tuple[list[int], list[tuple[in
         w -= base[p - 1] * values[p - 1]
         size -= base[p - 1]
         out.append((w + values[p], size + 1))
-    return base, out
-
-
-def counterexample_candidates(system: CoinSystem) -> list[CounterexampleCandidate]:
-    """All candidate amounts for the minimal counterexample."""
-    values = system.values
-    n = len(values)
-    out: list[CounterexampleCandidate] = []
-    for k in range(3, n + 1):
-        base, cands = _level_candidates(values[:k])
-        for p, (amount, _) in enumerate(cands, 1):
-            counts = [0] * p + base[p:] + [0] * (n - k)
-            counts[p] += 1
-            vector = Representation(system, tuple(counts))
-            out.append(CounterexampleCandidate(source_k=k, p=p, value=amount, vector=vector))
     return out
 
 
@@ -162,7 +126,7 @@ def _candidate_step(
     c = values[-1]
     if f is not None and f < c:
         return f, pending
-    pending = sorted([x for x in pending if x[0] >= c] + _level_candidates(values)[1])
+    pending = sorted([x for x in pending if x[0] >= c] + _level_candidates(values))
     for amount, size in pending:
         if _greedy_count(values, amount) > size:
             return amount, pending
@@ -222,7 +186,7 @@ def _witness(system: CoinSystem, w: int) -> CounterexampleWitness:
     )
 
 
-def is_orderly(system: CoinSystem, *, cap: int = DEFAULT_VALUE_CAP) -> CanonicalityReport:
+def is_orderly(system: CoinSystem) -> CanonicalityReport:
     """Decide orderliness by the candidate test; witness the failure if any.
 
     The verdict comes from the candidate set alone.  For a non-orderly
@@ -233,7 +197,7 @@ def is_orderly(system: CoinSystem, *, cap: int = DEFAULT_VALUE_CAP) -> Canonical
     m = _failing_candidates(system.values)[-1]
     if m is None:
         return CanonicalityReport(orderly=True, witness=None)
-    _check_cap(m, cap)
+    _check_cap(m)
     witness = _witness(system, m)
     if witness.greedy_count <= witness.opt_count:
         raise InternalDisagreementError(f"candidate {m} of {system} is not a counterexample")
@@ -286,42 +250,6 @@ def one_point_check(
         raise ValueError(f"prefix {prefix} is not orderly")
     orderly, m, g = _one_point(values + (c_new,))
     return OnePointVerdict(m=m, target=m * values[-1], greedy_count=g, orderly=orderly)
-
-
-# ---------- tightness and pairwise counterexamples ----------
-
-
-def is_tight(system: CoinSystem, *, cap: int = DEFAULT_VALUE_CAP) -> bool:
-    """True when no amount below cn is a counterexample.
-
-    Orderly systems are vacuously tight; non-orderly ones are tight exactly
-    when their minimal counterexample is at least cn.
-    """
-    values = system.values
-    if len(values) <= 2:
-        return True
-    w = _min_counterexample(values, cap)
-    return w is None or w >= values[-1]
-
-
-def sum_pair_counterexample(system: CoinSystem) -> tuple[int, int] | None:
-    """First pair of middle coin indices whose sum breaks greedy optimality.
-
-    Scans pairs (i, j), 0-based with 1 <= i <= j <= n-2, whose coin sum
-    exceeds cn, in ascending order; returns the first pair whose sum is a
-    counterexample of the full system, else None.  Each column j is decided
-    by the two-coin-sum lemma of _pair_counterexample, without a DP table.
-    """
-    values = system.values
-    n = len(values)
-    if n < 4:
-        raise ValueError("need at least four coin values")
-    pairs = []
-    for j in range(1, n - 1):
-        s = _pair_counterexample(values, j)
-        if s is not None:
-            pairs.append((values.index(s - values[j]), j))
-    return min(pairs, default=None)
 
 
 # ---------- necessary-condition filters ----------
@@ -408,15 +336,13 @@ def _optimal_count_vectors(values: tuple[int, ...], w: int) -> list[tuple[int, .
     return sorted(_optimal_forms(values, w, partial(_greedy_count, values), lex=False))
 
 
-def disjoint_support_check(
-    system: CoinSystem, *, cap: int = DEFAULT_VALUE_CAP
-) -> SupportCheck:
+def disjoint_support_check(system: CoinSystem) -> SupportCheck:
     """At the minimal counterexample, greedy and optimal never share a coin.
 
     Verified against every optimal representation by exhaustive enumeration.
     """
     values = system.values
-    w = _min_counterexample(values, cap) if len(values) > 2 else None
+    w = _min_counterexample(values)
     if w is None:
         return SupportCheck(status="vacuous")
     greedy_counts = _greedy_counts(values, w)

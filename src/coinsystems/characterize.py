@@ -71,10 +71,6 @@ def is_totally_orderly(system: CoinSystem) -> bool:
     below it was just confirmed orderly.
     """
     values = system.values
-    return _totally_orderly(values)
-
-
-def _totally_orderly(values: tuple[int, ...]) -> bool:
     for k in range(3, len(values) + 1):
         if not _one_point(values[:k])[0]:
             return False

@@ -9,7 +9,9 @@ Examples:
     coinsystems conjecture --n 5,6 --max 25 --jobs 2
 
 Records go to standard output, one JSON object per line, or CSV rows with a
-fixed header under --csv; progress and diagnostics go to standard error.
+fixed header under --csv.  Standard error gets usage errors, internal
+disagreements and, under --csv, the conjecture summary; no progress is
+reported.
 Exit codes: 0 success, 1 conjecture violation, 2 usage error (including a
 request beyond a resource limit such as the DP table cap), 3 internal
 disagreement between two verdict routes.
@@ -26,12 +28,9 @@ from typing import Sequence
 from .canonicality import _candidate_verdict, _witness, is_orderly, min_counterexample_oracle
 from .characterize import classify6, orderly3, orderly4, orderly5, pattern
 from .core import CoinSystem, Representation, ResourceLimitError
-from .families import FamilyParams, verify_target_pattern
+from .families import FamilyParams, _target_marks
 from .search import (
-    ConjectureFinding,
-    EnumSpec,
     InternalDisagreementError,
-    _target_marks,
     conjecture_scan,
     pattern_census,
     summarize_findings,
@@ -83,11 +82,25 @@ def _fmt_params(params: dict | None) -> str | None:
     return ",".join(f"{k}={v}" for k, v in params.items())
 
 
+def _target_record(system: CoinSystem, params: FamilyParams | None) -> dict:
+    """Record of an orderly system with pattern (+++-...-+), and its family."""
+    record = {
+        "system": ",".join(str(v) for v in system),
+        "orderly": True,
+        "pattern": _target_marks(len(system)),
+    }
+    if params is not None:
+        fields = {"r": params.r, "a": params.a}
+        if params.m is not None:
+            fields["m"] = params.m
+        record.update(family=params.family, params=_fmt_params(fields))
+    return record
+
+
 class _Writer:
     """JSON-lines or fixed-header CSV on standard output."""
 
     def __init__(self, use_csv: bool, columns: Sequence[str]) -> None:
-        self.use_csv = use_csv
         self.columns = list(columns)
         self._csv = csv.writer(sys.stdout) if use_csv else None
         if self._csv:
@@ -116,7 +129,7 @@ class _Writer:
 def _cmd_check(args: argparse.Namespace) -> int:
     system: CoinSystem = args.system
     record: dict = {"system": ",".join(str(v) for v in system)}
-    if args.pearson and not args.oracle:
+    if args.pearson:
         report = is_orderly(system)
         orderly, witness = report.orderly, report.witness
     else:
@@ -179,64 +192,29 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 def _cmd_family(args: argparse.Namespace) -> int:
     try:
-        if args.family == "D":
-            if args.m is not None:
-                raise ValueError("family D takes no --m")
-            params = FamilyParams(family="D", r=args.r, a=args.a)
-        else:
-            if args.m is None:
-                raise ValueError(f"family {args.family} needs --m")
-            params = FamilyParams(family=args.family, r=args.r, a=args.a, m=args.m)
+        params = FamilyParams(family=args.family, r=args.r, a=args.a, m=args.m)
         system = params.generate()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     marks = pattern(system).marks
-    if not verify_target_pattern(system):
+    if marks != _target_marks(len(system)):
         print(
             f"internal disagreement: generated {system} has pattern {marks}, "
             "expected (+++-...-+)",
             file=sys.stderr,
         )
         return EXIT_DISAGREEMENT
-    record = {
-        "system": ",".join(str(v) for v in system),
-        "orderly": True,
-        "pattern": marks,
-        "family": args.family,
-        "params": _fmt_params(
-            {"r": args.r, "a": args.a}
-            if args.m is None
-            else {"r": args.r, "a": args.a, "m": args.m}
-        ),
-    }
-    _Writer(args.csv, _COLUMNS).write(record)
+    _Writer(args.csv, _COLUMNS).write(_target_record(system, params))
     return EXIT_OK
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    spec = EnumSpec(n=args.n, max_cn=args.max)
-    census = pattern_census(spec, jobs=args.jobs, sample_rate=args.sample)
+    census = pattern_census(args.n, args.max, jobs=args.jobs, sample_rate=args.sample)
     writer = _Writer(args.csv, ["pattern", "count"])
     for marks, count in census.items():
         writer.write({"pattern": marks, "count": count})
     return EXIT_OK
-
-
-def _finding_record(finding: ConjectureFinding) -> dict:
-    membership = finding.membership
-    record = {
-        "system": ",".join(str(v) for v in finding.system),
-        "orderly": True,
-        "pattern": _target_marks(len(finding.system)),
-    }
-    if membership is not None:
-        record["family"] = membership.family
-        params = {"r": membership.r, "a": membership.a}
-        if membership.m is not None:
-            params["m"] = membership.m
-        record["params"] = _fmt_params(params)
-    return record
 
 
 def _cmd_conjecture(args: argparse.Namespace) -> int:
@@ -246,7 +224,7 @@ def _cmd_conjecture(args: argparse.Namespace) -> int:
     summary = summarize_findings(findings)
     writer = _Writer(args.csv, _COLUMNS)
     for finding in findings:
-        writer.write(_finding_record(finding))
+        writer.write(_target_record(finding.system, finding.membership))
     summary_record = {
         "findings": summary.total,
         "without_membership": len(summary.without_membership),
@@ -278,8 +256,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="orderliness verdict with witness")
     p_check.add_argument("system", type=_parse_system, help="comma-separated values, e.g. 1,2,5,6")
-    p_check.add_argument("--oracle", action="store_true", help="use only the brute-force scan")
-    p_check.add_argument("--pearson", action="store_true", help="use only the candidate test")
+    route = p_check.add_mutually_exclusive_group()
+    route.add_argument("--oracle", action="store_true", help="use only the brute-force scan")
+    route.add_argument("--pearson", action="store_true", help="use only the candidate test")
     add_output_flags(p_check)
     p_check.set_defaults(func=_cmd_check)
 
@@ -338,7 +317,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE
     except (ValueError, argparse.ArgumentTypeError) as exc:
         parser.error(str(exc))  # exits with status 2
-        return EXIT_USAGE  # pragma: no cover
 
 
 def entry_point() -> None:

@@ -112,10 +112,6 @@ class Pattern:
     def __len__(self) -> int:
         return len(self.marks)
 
-    @property
-    def all_plus(self) -> bool:
-        return "-" not in self.marks
-
 
 def _check_amount(v: int) -> None:
     if not isinstance(v, int) or isinstance(v, bool) or v < 0:
@@ -228,37 +224,22 @@ def greedy_count(system: CoinSystem, v: int) -> int:
     return _greedy_count(system.values, v)
 
 
-def _check_cap(v: int, cap: int) -> None:
-    if v > cap:
-        raise ResourceLimitError(f"amount {v} exceeds the DP table cap {cap}")
+def _check_cap(v: int) -> None:
+    """Refuse a DP table over 0..v beyond the cap, read at call time."""
+    if v > DEFAULT_VALUE_CAP:
+        raise ResourceLimitError(f"amount {v} exceeds the DP table cap {DEFAULT_VALUE_CAP}")
 
 
-def opt_count(system: CoinSystem, v: int, *, cap: int = DEFAULT_VALUE_CAP) -> int:
+def opt_count(system: CoinSystem, v: int) -> int:
     """Minimal number of coins representing amount v."""
     _check_amount(v)
-    _check_cap(v, cap)
+    _check_cap(v)
     return _opt_table(system.values, v)[v]
 
 
-def lex_smallest_optimal(
-    system: CoinSystem, v: int, *, cap: int = DEFAULT_VALUE_CAP
-) -> Representation:
+def lex_smallest_optimal(system: CoinSystem, v: int) -> Representation:
     """The lexicographically smallest among all optimal representations of v."""
     _check_amount(v)
-    _check_cap(v, cap)
+    _check_cap(v)
     counts = _lex_smallest_counts(system.values, v, _opt_table(system.values, v).__getitem__)
     return Representation(system, tuple(counts))
-
-
-def lex_compare(x: Representation, y: Representation) -> int:
-    """-1, 0 or 1 as x is lexicographically before, equal to, or after y.
-
-    The leftmost index is dominant and a smaller count there wins.
-    """
-    if len(x.counts) != len(y.counts):
-        raise ValueError("representations must have equal length")
-    if x.counts < y.counts:
-        return -1
-    if x.counts > y.counts:
-        return 1
-    return 0

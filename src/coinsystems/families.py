@@ -118,17 +118,17 @@ def gen_F(r: int, m: int, a: int) -> CoinSystem:
     return FamilyParams(family="F", r=r, a=a, m=m).generate()
 
 
+def _target_marks(n: int) -> str:
+    """The pattern (+++-...-+) of n values."""
+    return "+++" + "-" * (n - 4) + "+"
+
+
 def verify_target_pattern(system: CoinSystem) -> bool:
     """Whether the system's pattern is (+++-...-+): the first three prefixes
     orderly, every middle prefix not, and the full system orderly."""
     if len(system) < 5:
         raise ValueError("need at least five coin values")
-    marks = pattern(system).marks
-    return (
-        marks.startswith("+++")
-        and marks.endswith("+")
-        and set(marks[3:-1]) == {"-"}
-    )
+    return pattern(system).marks == _target_marks(len(system))
 
 
 # ---------- prefix counterexamples for fixed-gap systems ----------

@@ -1,17 +1,22 @@
-"""Exhaustive sweeps: enumeration, pattern census, and the conjecture scan.
+"""Exhaustive sweeps: the pattern census, the conjecture scan, and the
+agreement sweep.
 
-Enumeration is lexicographic over (c2, ..., cn) drawn from 2..max_cn.  The
-census walks the enumeration as a prefix tree so each prefix verdict is
-computed once: an orderly prefix is extended by a single greedy evaluation,
-and a non-orderly prefix carries its minimal failing amount w and the oracle
-scan's one table, of greedy counts up to w.  Under a coin larger than w it
-stays non-orderly with the same w (no representation of an amount below the
-new coin can use it).  Under a coin c at or below w the scan resumes at c
-from the parent's table cut at c, since c changes no count below c, except
-at a leaf: its mark needs a failing amount, not the minimal one, so a leaf
-takes the two-coin-sum lemma's amount (canonicality._pair_counterexample)
-when there is one and is scanned only otherwise.  A deterministic sample of
-verdicts is re-checked by a from-scratch scan.
+Each sweep covers the systems (1, c2, ..., cn) with coins drawn from
+2..max_cn, walked in lexicographic order as a prefix tree with one partition
+per c2.  Under jobs > 1 the partitions run in worker processes, no more than
+there are partitions or cores, and merge in order.
+
+The census computes each prefix verdict once: an orderly prefix is extended
+by a single greedy evaluation, and a non-orderly prefix carries its minimal
+failing amount w and the oracle scan's one table, of greedy counts up to w.
+Under a coin larger than w it stays non-orderly with the same w (no
+representation of an amount below the new coin can use it).  Under a coin c
+at or below w the scan resumes at c from the parent's table cut at c, since
+c changes no count below c, except at a leaf: its mark needs a failing
+amount, not the minimal one, so a leaf takes the two-coin-sum lemma's amount
+(canonicality._pair_counterexample) when there is one and is scanned only
+otherwise.  A deterministic sample of verdicts is re-checked by a
+from-scratch scan.
 
 The conjecture scan looks for systems whose pattern is (+++-...-+).  A
 pattern is a property of the chain of prefixes, so one walk of each c2
@@ -37,55 +42,14 @@ smallest failing candidate must equal w.
 from __future__ import annotations
 
 import multiprocessing
+import os
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .canonicality import InternalDisagreementError, _candidate_step, _min_counterexample
-from .canonicality import _one_point, _pair_counterexample, _scan_from, gap_filter, jump_filter
+from .canonicality import _one_point, _pair_counterexample, _scan_from
 from .core import CoinSystem, _greedy_count, _opt_table
-from .families import FamilyParams, family_membership
-
-
-@dataclass(frozen=True)
-class EnumSpec:
-    """Bounds of an enumeration: systems with n values, largest at most
-    max_cn, optionally tagging systems the necessary-condition filters
-    reject."""
-
-    n: int
-    max_cn: int
-    use_gap_filter: bool = False
-    use_jump_filter: bool = False
-
-    def __post_init__(self) -> None:
-        if self.n < 3:
-            raise ValueError("need n >= 3")
-        if self.max_cn < self.n:
-            raise ValueError("max_cn must be at least n, otherwise no systems exist")
-
-
-@dataclass(frozen=True)
-class EnumeratedSystem:
-    """One enumerated system; pre_rejected means an enabled filter proved it
-    non-orderly without any scan."""
-
-    system: CoinSystem
-    pre_rejected: bool
-
-
-def enumerate_systems(spec: EnumSpec) -> Iterator[EnumeratedSystem]:
-    """All coin systems within the bounds, in lexicographic order.
-
-    Systems failing an enabled filter are still yielded, tagged pre_rejected.
-    """
-    from itertools import combinations
-
-    for combo in combinations(range(2, spec.max_cn + 1), spec.n - 1):
-        system = CoinSystem((1,) + combo)
-        rejected = (spec.use_gap_filter and not gap_filter(system)) or (
-            spec.use_jump_filter and not jump_filter(system)
-        )
-        yield EnumeratedSystem(system=system, pre_rejected=rejected)
+from .families import FamilyParams, _target_marks, family_membership
 
 
 # ---------- shared tree machinery ----------
@@ -168,15 +132,20 @@ def _census_partition(args: tuple[int, int, int, int]) -> dict[str, int]:
 
 
 def pattern_census(
-    spec: EnumSpec, *, jobs: int = 1, sample_rate: float = 0.01
+    n: int, max_cn: int, *, jobs: int = 1, sample_rate: float = 0.01
 ) -> dict[str, int]:
-    """Count enumerated systems by orderliness pattern.
+    """Count the systems with n values bounded by max_cn by orderliness
+    pattern.
 
     The result is identical for any job count; partitions are split by c2
     and merged in order.
     """
+    if n < 3:
+        raise ValueError("need n >= 3")
+    if max_cn < n:
+        raise ValueError("max_cn must be at least n, otherwise no systems exist")
     mod = _sample_modulus(sample_rate)
-    args = [(spec.n, spec.max_cn, c2, mod) for c2 in range(2, spec.max_cn - spec.n + 3)]
+    args = [(n, max_cn, c2, mod) for c2 in range(2, max_cn - n + 3)]
     partials = _run_partitions(_census_partition, args, jobs)
     total: dict[str, int] = {}
     for part in partials:
@@ -186,9 +155,10 @@ def pattern_census(
 
 
 def _run_partitions(worker, args: list, jobs: int) -> list:
-    if jobs <= 1 or len(args) <= 1:
+    processes = min(jobs, len(args), os.cpu_count() or 1)
+    if processes <= 1:
         return [worker(a) for a in args]
-    with multiprocessing.Pool(processes=jobs) as pool:
+    with multiprocessing.Pool(processes=processes) as pool:
         return pool.map(worker, args)
 
 
@@ -201,7 +171,6 @@ class ConjectureFinding:
     family identification when one exists."""
 
     system: CoinSystem
-    pattern_ok: bool
     membership: FamilyParams | None
 
 
@@ -283,10 +252,6 @@ def _oracle_marks(values: tuple[int, ...]) -> str:
     return "".join(marks)
 
 
-def _target_marks(n: int) -> str:
-    return "+++" + "-" * (n - 4) + "+"
-
-
 def conjecture_scan(
     lengths: Iterable[int],
     max_cn: int,
@@ -321,13 +286,7 @@ def conjecture_scan(
                         f"scan emitted {values} but the oracle rejects its pattern"
                     )
                 system = CoinSystem(values)
-                findings.append(
-                    ConjectureFinding(
-                        system=system,
-                        pattern_ok=True,
-                        membership=family_membership(system),
-                    )
-                )
+                findings.append(ConjectureFinding(system, family_membership(system)))
     return findings
 
 

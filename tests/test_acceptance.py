@@ -16,7 +16,6 @@ import pytest
 
 from coinsystems import (
     CoinSystem,
-    EnumSpec,
     FamilyParams,
     agreement_sweep,
     classify6,
@@ -120,7 +119,7 @@ def test_criterion_4_closed_forms():
 @pytest.mark.acceptance
 def test_criterion_5_no_plus_minus_plus_minus_plus():
     """No 7-value system with c7 <= 30 has pattern (+++-+-+)."""
-    census = pattern_census(EnumSpec(n=7, max_cn=30))
+    census = pattern_census(7, 30)
     assert sum(census.values()) == comb(29, 6)
     assert census.get("+++-+-+", 0) == 0
     # two frozen entries guarding against silent under-enumeration

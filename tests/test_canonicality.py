@@ -9,19 +9,13 @@ from hypothesis import strategies as st
 
 from coinsystems import (
     CoinSystem,
-    counterexample_candidates,
     disjoint_support_check,
     gap_filter,
-    greedy_count,
-    greedy_representation,
     is_orderly,
-    is_tight,
     jump_filter,
     min_counterexample_oracle,
     one_point_check,
-    opt_count,
     pattern,
-    sum_pair_counterexample,
 )
 from coinsystems.canonicality import (
     _candidate_verdict,
@@ -159,28 +153,6 @@ def test_oracle_memory_per_scanned_amount():
 # ---------- candidate amounts ----------
 
 
-def test_candidates_known_values():
-    """Candidates of (1, 2, 5, 6): the minimal counterexample 10 shows up."""
-    cands = counterexample_candidates(CoinSystem((1, 2, 5, 6)))
-    assert 10 in {c.value for c in cands}
-
-
-@pytest.mark.property_based
-@given(coin_values_exact(4, max_value=30))
-@settings(max_examples=100)
-def test_candidate_vectors_are_consistent(values):
-    """Each candidate vector starts with p zeros, has its p-th entry one
-    above the greedy vector of c(source_k) - 1, and represents its value."""
-    system = CoinSystem(values)
-    for cand in counterexample_candidates(system):
-        base = greedy_representation(system, values[cand.source_k - 1] - 1)
-        counts = cand.vector.counts
-        assert counts[: cand.p] == (0,) * cand.p
-        assert counts[cand.p] == base.counts[cand.p] + 1
-        assert counts[cand.p + 1 :] == base.counts[cand.p + 1 :]
-        assert cand.vector.value() == cand.value
-
-
 @pytest.mark.property_based
 @given(coin_values(max_n=7, max_value=40))
 @settings(max_examples=150, deadline=None)
@@ -204,7 +176,6 @@ def test_candidate_route_uses_no_dp_table(monkeypatch):
     expected = [
         (
             _failing_candidates(v),
-            counterexample_candidates(CoinSystem(v)),
             pattern(CoinSystem(v)),
             is_orderly(CoinSystem(v)),
         )
@@ -218,10 +189,9 @@ def test_candidate_route_uses_no_dp_table(monkeypatch):
         for name in ("_scan_from", "_min_counterexample", "_opt_table"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, boom)
-    for v, (fails, cands, marks, report) in zip(systems, expected):
+    for v, (fails, marks, report) in zip(systems, expected):
         assert _failing_candidates(v) == fails
         assert _candidate_verdict(v) == (fails[-1] is None)
-        assert counterexample_candidates(CoinSystem(v)) == cands
         assert pattern(CoinSystem(v)) == marks
         assert is_orderly(CoinSystem(v)) == report
 
@@ -336,40 +306,6 @@ def test_one_point_matches_oracle(values, c_new):
         return
     verdict = one_point_check(CoinSystem(values), c_new)
     assert verdict.orderly == ref_is_orderly(values + (c_new,))
-
-
-# ---------- tightness and pair sums ----------
-
-
-def test_is_tight_known_values():
-    assert is_tight(CoinSystem((1, 3, 4)))
-    assert is_tight(CoinSystem((1, 5, 10, 25)))
-    assert is_tight(CoinSystem((1, 2, 5, 6)))
-    # (1, 3, 4, 20) fails at 6, far below its largest coin
-    assert not is_tight(CoinSystem((1, 3, 4, 20)))
-
-
-def test_sum_pair_known_values():
-    assert sum_pair_counterexample(CoinSystem((1, 2, 4, 5, 7))) == (3, 3)
-    assert sum_pair_counterexample(CoinSystem((1, 2, 5, 6))) == (2, 2)
-    assert sum_pair_counterexample(CoinSystem((1, 3, 5, 8, 10, 15))) is None
-    with pytest.raises(ValueError):
-        sum_pair_counterexample(CoinSystem((1, 3, 4)))
-
-
-@pytest.mark.property_based
-@given(coin_values_exact(5, max_value=30))
-@settings(max_examples=100, deadline=None)
-def test_sum_pair_is_a_counterexample(values):
-    """A reported pair really sums to an amount greedy overpays."""
-    system = CoinSystem(values)
-    pair = sum_pair_counterexample(system)
-    if pair is not None:
-        i, j = pair
-        assert 1 <= i <= j <= len(values) - 2
-        s = values[i] + values[j]
-        assert s > values[-1]
-        assert greedy_count(system, s) > opt_count(system, s)
 
 
 # ---------- necessary-condition filters ----------

@@ -258,10 +258,24 @@ def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as err:
         main([])
     assert err.value.code == 2
-    with pytest.raises(SystemExit) as err:
-        main(["enumerate", "--n", "2", "--max", "10"])
-    assert err.value.code == 2
+    for bounds in [["--n", "2", "--max", "10"], ["--n", "5", "--max", "4"]]:
+        with pytest.raises(SystemExit) as err:
+            main(["enumerate", *bounds])
+        assert err.value.code == 2
     capsys.readouterr()
+
+
+def test_check_takes_one_route_flag(capsys):
+    """--oracle and --pearson together are a usage error, not the oracle
+    alone."""
+    with pytest.raises(SystemExit) as err:
+        main(["check", "--oracle", "--pearson", "1,3,4"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [line for line in captured.err.splitlines() if "error:" in line] == [
+        "coinsystems check: error: argument --pearson: not allowed with argument --oracle"
+    ]
 
 
 def test_internal_disagreement_exits_three(capsys, monkeypatch):

@@ -1,6 +1,8 @@
 """Tests for coin systems, representations, and the two change makers."""
 
+import re
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,8 +15,9 @@ from coinsystems import (
     ResourceLimitError,
     greedy_count,
     greedy_representation,
-    lex_compare,
+    is_orderly,
     lex_smallest_optimal,
+    min_counterexample_oracle,
     opt_count,
 )
 
@@ -33,8 +36,19 @@ def test_public_names_do_not_grow():
     """A ratchet on the package's public names: new helpers stay private."""
     import coinsystems
 
-    assert len(coinsystems.__all__) <= 44
+    assert len(coinsystems.__all__) <= 38
     assert not [name for name in coinsystems.__all__ if name.startswith("_")]
+
+
+def test_readme_lists_every_public_function():
+    """The README's list of main entry points names exactly the lowercase
+    public names, so a removed or added function shows up there."""
+    import coinsystems
+
+    readme = Path(coinsystems.__file__).parents[2] / "README.md"
+    text = readme.read_text().split("The main entry points:")[1].split("\n## ")[0]
+    listed = set(re.findall(r"`([A-Za-z_]\w*)`", text))
+    assert listed == {name for name in coinsystems.__all__ if name[0].islower()}
 
 
 # ---------- value objects ----------
@@ -84,8 +98,6 @@ def test_pattern_validation():
     assert Pattern("+").marks == "+"
     assert str(Pattern("+++-+")) == "+++-+"
     assert len(Pattern("+++-+")) == 5
-    assert Pattern("++++").all_plus
-    assert not Pattern("+++-+").all_plus
     with pytest.raises(ValueError):
         Pattern("")
     with pytest.raises(ValueError):
@@ -138,13 +150,25 @@ def test_opt_below_c2_uses_units():
         assert opt_count(c, v) == v
 
 
-def test_opt_respects_value_cap():
+def test_opt_respects_value_cap(monkeypatch):
+    """The one cap, read at call time, guards every DP table: optimal counts,
+    the oracle's window below c(n-1)+cn, and the candidate test's minimal
+    counterexample M."""
+    monkeypatch.setattr("coinsystems.core.DEFAULT_VALUE_CAP", 10)
     c = CoinSystem((1, 2))
-    assert opt_count(c, 10, cap=10) == 5
+    assert opt_count(c, 10) == 5
     with pytest.raises(ResourceLimitError):
-        opt_count(c, 11, cap=10)
+        opt_count(c, 11)
     with pytest.raises(ResourceLimitError):
-        lex_smallest_optimal(c, 11, cap=10)
+        lex_smallest_optimal(c, 11)
+    assert min_counterexample_oracle(CoinSystem((1, 5, 6))) == 10
+    with pytest.raises(ResourceLimitError):
+        min_counterexample_oracle(CoinSystem((1, 5, 7)))
+    # the cap bounds M, not the window: (1, 5, 8) has window 12 and M = 10,
+    # (1, 6, 7) has M = 12
+    assert is_orderly(CoinSystem((1, 5, 8))).witness.value == 10
+    with pytest.raises(ResourceLimitError):
+        is_orderly(CoinSystem((1, 6, 7)))
 
 
 # ---------- lexicographic order ----------
@@ -167,17 +191,6 @@ def test_lex_smallest_matches_reference_exhaustively():
             c = CoinSystem(values)
             for v in range(20):
                 assert lex_smallest_optimal(c, v).counts == ref_lex_smallest_optimal(values, v)
-
-
-def test_lex_compare_known_values():
-    c = CoinSystem((1, 3, 4))
-    x = Representation(c, (0, 2, 0))
-    y = Representation(c, (2, 0, 1))
-    assert lex_compare(x, y) == -1
-    assert lex_compare(y, x) == 1
-    assert lex_compare(x, x) == 0
-    with pytest.raises(ValueError):
-        lex_compare(x, Representation(CoinSystem((1, 2)), (0, 0)))
 
 
 # ---------- properties against the reference implementations ----------

@@ -1,19 +1,18 @@
-"""Tests for enumeration, the pattern census, and the conjecture scan."""
+"""Tests for the pattern census, the conjecture scan, and the agreement sweep."""
 
 from collections import Counter
 from itertools import combinations
 from math import comb
+from types import SimpleNamespace
 
 import pytest
 
 from coinsystems import (
     CoinSystem,
     ConjectureFinding,
-    EnumSpec,
     FamilyParams,
     agreement_sweep,
     conjecture_scan,
-    enumerate_systems,
     pattern_census,
     summarize_findings,
 )
@@ -24,43 +23,47 @@ from coinsystems.canonicality import _candidate_step, _candidate_verdict, _pair_
 from bruteforce import ref_is_orderly, ref_min_counterexample, ref_pattern
 
 
-# ---------- enumeration ----------
-
-
-def test_enum_spec_validation():
-    with pytest.raises(ValueError):
-        EnumSpec(n=2, max_cn=10)
-    with pytest.raises(ValueError):
-        EnumSpec(n=5, max_cn=4)
-
-
-def test_enumerate_systems_order_and_bounds():
-    got = [e.system.values for e in enumerate_systems(EnumSpec(n=3, max_cn=4))]
-    assert got == [(1, 2, 3), (1, 2, 4), (1, 3, 4)]
-    got = [e.system.values for e in enumerate_systems(EnumSpec(n=3, max_cn=3))]
-    assert got == [(1, 2, 3)]
-
-
-def test_enumerate_systems_counts_are_binomial():
-    spec = EnumSpec(n=4, max_cn=12)
-    assert sum(1 for _ in enumerate_systems(spec)) == comb(11, 3)
-
-
-def test_enumerate_systems_filter_tagging():
-    """Filtered systems stay in the stream, only tagged."""
-    spec = EnumSpec(n=3, max_cn=8, use_gap_filter=True)
-    tagged = {e.system.values: e.pre_rejected for e in enumerate_systems(spec)}
-    assert len(tagged) == comb(7, 2)
-    assert tagged[(1, 5, 8)] is True
-    assert tagged[(1, 2, 3)] is False
-
-
 # ---------- pattern census ----------
 
 
+def test_pattern_census_validation():
+    with pytest.raises(ValueError):
+        pattern_census(2, 10)
+    with pytest.raises(ValueError):
+        pattern_census(5, 4)
+
+
+def test_jobs_never_exceed_partitions_or_cores(monkeypatch):
+    """However many jobs are asked for, the pool gets at most one worker per
+    c2 partition and per core; the fake pool maps serially, so no process
+    starts."""
+    requested = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            requested.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, worker, args):
+            return [worker(a) for a in args]
+
+    monkeypatch.setattr(search, "multiprocessing", SimpleNamespace(Pool=SerialPool))
+    serial = pattern_census(3, 6)
+    for cores, expected in [(64, 4), (2, 2)]:
+        monkeypatch.setattr(search, "os", SimpleNamespace(cpu_count=lambda c=cores: c))
+        assert pattern_census(3, 6, jobs=10_000) == serial
+        assert requested.pop() == expected
+    assert requested == []
+
+
 def test_pattern_census_known_values():
-    assert pattern_census(EnumSpec(n=3, max_cn=4)) == {"+++": 2, "++-": 1}
-    census = pattern_census(EnumSpec(n=4, max_cn=10))
+    assert pattern_census(3, 4) == {"+++": 2, "++-": 1}
+    census = pattern_census(4, 10)
     assert census == {"++++": 21, "+++-": 28, "++--": 35}
     assert sum(census.values()) == comb(9, 3)
 
@@ -72,20 +75,18 @@ def test_pattern_census_matches_reference():
         for combo in combinations(range(2, max_cn + 1), n - 1):
             marks = ref_pattern((1,) + combo)
             expected[marks] = expected.get(marks, 0) + 1
-        assert pattern_census(EnumSpec(n=n, max_cn=max_cn)) == expected
+        assert pattern_census(n, max_cn) == expected
 
 
 def test_pattern_census_is_deterministic_across_jobs():
-    spec = EnumSpec(n=4, max_cn=12)
-    assert pattern_census(spec, jobs=1) == pattern_census(spec, jobs=2)
+    assert pattern_census(4, 12, jobs=1) == pattern_census(4, 12, jobs=2)
 
 
 def test_pattern_census_full_sampling():
     """sample_rate=1.0 re-verifies every system and changes nothing."""
-    spec = EnumSpec(n=4, max_cn=10)
-    assert pattern_census(spec, sample_rate=1.0) == pattern_census(spec)
+    assert pattern_census(4, 10, sample_rate=1.0) == pattern_census(4, 10)
     with pytest.raises(ValueError):
-        pattern_census(spec, sample_rate=1.5)
+        pattern_census(4, 10, sample_rate=1.5)
 
 
 def test_pattern_census_leaves_take_the_lemma_amount(monkeypatch):
@@ -107,9 +108,7 @@ def test_pattern_census_leaves_take_the_lemma_amount(monkeypatch):
 
     monkeypatch.setattr("coinsystems.search._scan_from", scan)
     monkeypatch.setattr("coinsystems.search._spot_check", spot)
-    assert pattern_census(EnumSpec(n=n, max_cn=max_cn), sample_rate=1.0) == pattern_census(
-        EnumSpec(n=n, max_cn=max_cn), sample_rate=0.0
-    )
+    assert pattern_census(n, max_cn, sample_rate=1.0) == pattern_census(n, max_cn, sample_rate=0.0)
     leaves = [v for v in scanned if len(v) == n]
     assert leaves
     assert all(_pair_counterexample(v, n - 2) is None for v in leaves)
@@ -212,7 +211,7 @@ def test_conjecture_scan_five_values():
         (1, 2, 10, 11, 20),
     ]
     for a, finding in enumerate(findings, start=2):
-        assert finding.pattern_ok
+        assert ref_pattern(finding.system.values) == "+++-+"
         assert finding.membership == FamilyParams(family="D", r=1, a=a)
 
 
@@ -373,12 +372,10 @@ def test_summarize_findings_flags_forbidden_lengths():
     """Lengths 3r+1 (r >= 2) are flagged even with a membership-free pass."""
     inside = ConjectureFinding(
         system=CoinSystem((1, 2, 4, 5, 8)),
-        pattern_ok=True,
         membership=FamilyParams(family="D", r=1, a=2),
     )
     outsider = ConjectureFinding(
         system=CoinSystem((1, 2, 4, 5, 7, 8, 11)),
-        pattern_ok=True,
         membership=None,
     )
     summary = summarize_findings([inside, outsider])
