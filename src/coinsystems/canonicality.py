@@ -234,19 +234,16 @@ def _one_point(values: tuple[int, ...]) -> tuple[bool, int, int]:
     return g <= m, m, g
 
 
-def one_point_check(
-    prefix: CoinSystem, c_new: int, *, verify_prefix: bool = True
-) -> OnePointVerdict:
+def one_point_check(prefix: CoinSystem, c_new: int) -> OnePointVerdict:
     """Decide whether appending c_new to an orderly prefix stays orderly.
 
-    The prefix must be orderly for the verdict to mean anything; it is
-    checked here unless the caller passes verify_prefix=False after
-    establishing it on their own.
+    The prefix must be orderly for the verdict to mean anything, so it is
+    checked here.
     """
     values = prefix.values
     if c_new <= values[-1]:
         raise ValueError(f"new coin {c_new} must exceed the current largest {values[-1]}")
-    if verify_prefix and not _candidate_verdict(values):
+    if not _candidate_verdict(values):
         raise ValueError(f"prefix {prefix} is not orderly")
     orderly, m, g = _one_point(values + (c_new,))
     return OnePointVerdict(m=m, target=m * values[-1], greedy_count=g, orderly=orderly)
@@ -255,9 +252,15 @@ def one_point_check(
 # ---------- necessary-condition filters ----------
 
 
-def _pair_counterexample(values: tuple[int, ...], j: int) -> int | None:
-    """Smallest sum x + y, over coins x <= y = values[j] with x + y above the
-    top coin, that greedy overpays; None when there is none.
+def _pair_counterexample(bits: int, y: int, c: int) -> int | None:
+    """Smallest sum x + y, over coins x <= y with x + y above the top coin c,
+    that greedy overpays; None when there is none.
+
+    bits has bit x set for each coin x up to y, y among them, and c is the
+    only coin above y that matters.  Bit i of bits >> (c - y) is set iff
+    x = i + c - y is a coin; then x + y = c + i, and i = 0 is the sum c
+    itself.  Clearing i = 0 and every i that is a coin (i < y, so bits
+    knows) leaves the failing sums, the lowest first.
 
     Lemma (two-coin sums).  Let c be the top coin and s = x + y > c for
     coins x <= y < c, so s < 2c.  No coin lies above c, so opt(s) = 2.
@@ -271,11 +274,8 @@ def _pair_counterexample(values: tuple[int, ...], j: int) -> int | None:
     c = 2t - p for a coin p.  An amount returned lies below c(n-1) + c and
     proves the system is not orderly; None proves nothing.
     """
-    c, y = values[-1], values[j]
-    for x in values[bisect_right(values, c - y) : j + 1]:
-        if x + y - c not in values:
-            return x + y
-    return None
+    t = (bits >> (c - y)) & ~1 & ~bits
+    return c + (t & -t).bit_length() - 1 if t else None
 
 
 def gap_filter(system: CoinSystem) -> bool:

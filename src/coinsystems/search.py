@@ -28,9 +28,14 @@ census does.  Inside a subtree where every added coin exceeds the inherited
 w, all leaves stay non-orderly, so no finding can appear and the subtree is
 skipped.  A node no longer length can grow from is a leaf: only its own
 verdict matters, so it is scanned only if the two-coin-sum lemma finds no
-counterexample among the sums of c(n-1) and a coin; interior nodes are always
-scanned, since their w and table feed their children.  Every emitted finding
-is re-verified per prefix by the oracle.
+counterexample among the sums of c(n-1) and a coin.  A node with children
+that the lemma rejects is proved not orderly, so it is no finding and is
+descended unscanned.  Its minimal counterexample lies below c(k-1) + ck
+(Kozen & Zaks), so until its scan no child at or above that can matter; a
+leaf child the lemma rejects reads no table, so the node is scanned at its
+first child that does, an interior child or a leaf the lemma passes, and
+from there the children stop at its w as usual.  Every emitted finding is
+re-verified per prefix by the oracle.
 
 The agreement sweep walks the same tree carrying each node's first failure w
 and the oracle's table ending at w; a child inherits w under a larger coin and
@@ -98,9 +103,10 @@ def _census_partition(args: tuple[int, int, int, int]) -> dict[str, int]:
     n, max_cn, c2, sample_mod = args
     counts: dict[str, int] = {}
 
-    def rec(values, marks, w, grd, h) -> None:
+    def rec(values, marks, w, grd, h, bits) -> None:
         # w is None when values is orderly; otherwise it is the minimal
-        # counterexample and, if values has children, grd reaches w
+        # counterexample and, if values has children, grd reaches w and bits
+        # has bit x set for each coin x
         if len(values) == n:
             counts[marks] = counts.get(marks, 0) + 1
             return
@@ -117,7 +123,7 @@ def _census_partition(args: tuple[int, int, int, int]) -> dict[str, int]:
                 w2 = w
             else:
                 # a leaf needs a failing amount, not the minimal one
-                w2 = None if remaining else _pair_counterexample(child, n - 2)
+                w2 = None if remaining else _pair_counterexample(bits, values[-1], c)
                 if w2 is None:
                     cgrd = grd[:c]
                     w2 = _scan_from(child, cgrd, c)
@@ -125,9 +131,10 @@ def _census_partition(args: tuple[int, int, int, int]) -> dict[str, int]:
             ch = ((h ^ c) * 16777619) & 0xFFFFFFFF
             if sample_mod and ch % sample_mod == 0:
                 _spot_check(child, w2 is None, w2)
-            rec(child, marks + ("+" if w2 is None else "-"), w2, cgrd, ch)
+            cbits = bits | 1 << c if remaining else 0
+            rec(child, marks + ("+" if w2 is None else "-"), w2, cgrd, ch, cbits)
 
-    rec((1, c2), "++", None, None, _fingerprint((1, c2)))
+    rec((1, c2), "++", None, None, _fingerprint((1, c2)), 2 | 1 << c2)
     return counts
 
 
@@ -207,28 +214,47 @@ def _scan_partition(
     slack = [min(n for n in lengths if n >= d) - d for d in range(deepest + 1)]
     found: dict[int, list[tuple[int, ...]]] = {n: [] for n in lengths}
 
-    def rec(values: tuple[int, ...], w: int | None, grd: list[int] | None, h: int) -> None:
-        # w is None while values is an orderly 2- or 3-prefix.  Otherwise
-        # values is not orderly, with minimal counterexample w and greedy
-        # counts up to w in grd; beyond w every leaf below stays '-', so the
-        # subtree is skipped, and each child resumes the scan at its new coin
-        # unless it is a leaf the two-coin-sum lemma rejects.
+    def rec(
+        values: tuple[int, ...], bits: int, w: int | None, grd: list[int] | None, h: int
+    ) -> None:
+        # bits has bit x set for each coin x.  w is None while values is an
+        # orderly 2- or 3-prefix, or a node of five or more values that the
+        # two-coin-sum lemma proved not orderly and that is not scanned yet,
+        # grd being its parent's table.  Otherwise values is not orderly, with
+        # minimal counterexample w and greedy counts up to w in grd; beyond w
+        # every leaf below stays '-', so the subtree is skipped, and each
+        # child resumes the scan at its new coin unless the lemma rejects it.
         depth = len(values) + 1
         top = max_cn - slack[depth]
         # a child from this coin up leaves no room for a longer length
         leaf_from = 0 if depth == deepest else max_cn - slack[depth + 1]
-        for c in range(values[-1] + 1, (top if w is None else min(w, top)) + 1):
+        p = values[-1]
+        first = p + 1
+        if w is None and depth > 5:
+            # w < c(k-1) + ck (Kozen & Zaks) bounds the children before the
+            # scan; a leaf the lemma rejects reads no table, so values is
+            # scanned at the first child that does
+            for first in range(first, min(top, values[-2] + p - 1) + 1):
+                if first < leaf_from or _pair_counterexample(bits, p, first) is None:
+                    break
+            else:
+                return
+            grd = grd[:p]
+            w = _scan_from(values, grd, p)
+        for c in range(first, (top if w is None else min(w, top)) + 1):
             child = values + (c,)
             if depth > 4:
-                if c >= leaf_from and _pair_counterexample(child, depth - 2) is not None:
+                if _pair_counterexample(bits, p, c) is not None:
+                    if c < leaf_from:
+                        rec(child, bits | 1 << c, None, grd, h)
                     continue
                 cgrd = grd[:c]
                 cw = _scan_from(child, cgrd, c)
                 if cw is None:
                     if depth in found:
                         found[depth].append(child)
-                elif depth < deepest:
-                    rec(child, cw, cgrd, h)
+                elif c < leaf_from:
+                    rec(child, bits | 1 << c, cw, cgrd, h)
                 continue
             # the first three marks must be '+', the fourth '-'
             orderly, cw = _extend_verdict(child)
@@ -236,12 +262,12 @@ def _scan_partition(
             if sample_mod and ch % sample_mod == 0:
                 _spot_check(child, orderly, cw)
             if orderly and depth == 3:
-                rec(child, None, None, ch)
+                rec(child, bits | 1 << c, None, None, ch)
             elif not orderly and depth == 4:
                 cgrd = [0]
-                rec(child, _scan_from(child, cgrd, 1), cgrd, ch)
+                rec(child, bits | 1 << c, _scan_from(child, cgrd, 1), cgrd, ch)
 
-    rec((1, c2), None, None, _fingerprint((1, c2)))
+    rec((1, c2), 2 | 1 << c2, None, None, _fingerprint((1, c2)))
     return found
 
 

@@ -215,8 +215,6 @@ def test_criterion_8_structural_suites():
 
             prefix = values[:-1]
             if len(prefix) == 2 or orderly_cache[prefix]:
-                verdict = one_point_check(
-                    CoinSystem(prefix), values[-1], verify_prefix=False
-                )
+                verdict = one_point_check(CoinSystem(prefix), values[-1])
                 assert verdict.orderly == (w is None), values
     assert checked == comb(39, 2) + comb(39, 3) + comb(39, 4)

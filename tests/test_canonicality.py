@@ -293,8 +293,6 @@ def test_one_point_preconditions():
         one_point_check(CoinSystem((1, 5, 10)), 10)
     with pytest.raises(ValueError):
         one_point_check(CoinSystem((1, 3, 4)), 9)
-    # an established caller may skip the prefix verification
-    one_point_check(CoinSystem((1, 5, 10)), 25, verify_prefix=False)
 
 
 @pytest.mark.property_based
@@ -311,6 +309,12 @@ def test_one_point_matches_oracle(values, c_new):
 # ---------- necessary-condition filters ----------
 
 
+def pair_lemma(values, j):
+    """The two-coin-sum lemma on values in column j: coins up to values[j]
+    as a bitmask, the sums x + values[j] above the top coin."""
+    return _pair_counterexample(sum(1 << x for x in values[: j + 1]), values[j], values[-1])
+
+
 def test_pair_counterexample_is_sound_exhaustively():
     """Every amount the two-coin-sum lemma returns, in any column, is a
     counterexample inside the scan window, so no orderly system is ever
@@ -321,7 +325,7 @@ def test_pair_counterexample_is_sound_exhaustively():
         for combo in combinations(range(2, 21), n - 1):
             values = (1,) + combo
             systems += 1
-            amounts = [_pair_counterexample(values, j) for j in range(1, n - 1)]
+            amounts = [pair_lemma(values, j) for j in range(1, n - 1)]
             rejected += amounts[-1] is not None
             if ref_is_orderly(values):
                 assert amounts == [None] * (n - 2), values
@@ -334,16 +338,16 @@ def test_pair_counterexample_is_sound_exhaustively():
 
 def test_pair_counterexample_known_values():
     # (1,2,4,5,8) is orderly: 4 + 5 and 5 + 5 leave the coins 1 and 2 after 8
-    assert _pair_counterexample((1, 2, 4, 5, 8), 3) is None
+    assert pair_lemma((1, 2, 4, 5, 8), 3) is None
     # (1,3,4): 3 + 3 leaves 2 after 4, its minimal counterexample 6
-    assert _pair_counterexample((1, 3, 4), 1) == 6
+    assert pair_lemma((1, 3, 4), 1) == 6
     # (1,2,5,6): 2 + 5 leaves the coin 1, but 5 + 5 leaves 4
-    assert _pair_counterexample((1, 2, 5, 6), 2) == 10
+    assert pair_lemma((1, 2, 5, 6), 2) == 10
     # a top gap of c2 - 2 = 2 makes c2 + c(n-1) fail; 4 + 4 leaves the coin 1
-    assert _pair_counterexample((1, 4, 5, 7), 2) == 9
-    assert _pair_counterexample((1, 4, 5, 7), 1) is None
+    assert pair_lemma((1, 4, 5, 7), 2) == 9
+    assert pair_lemma((1, 4, 5, 7), 1) is None
     # no two coins below the top sum past it
-    assert _pair_counterexample((1, 2, 3, 7), 2) is None
+    assert pair_lemma((1, 2, 3, 7), 2) is None
 
 
 def test_gap_filter_known_values():

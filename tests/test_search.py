@@ -19,11 +19,18 @@ from coinsystems import (
 
 from coinsystems import search
 from coinsystems.canonicality import _candidate_step, _candidate_verdict, _pair_counterexample
+from coinsystems.families import _target_marks
 
 from bruteforce import ref_is_orderly, ref_min_counterexample, ref_pattern
 
 
 # ---------- pattern census ----------
+
+
+def pair_lemma(values, j):
+    """The two-coin-sum lemma on values in column j: coins up to values[j]
+    as a bitmask, the sums x + values[j] above the top coin."""
+    return _pair_counterexample(sum(1 << x for x in values[: j + 1]), values[j], values[-1])
 
 
 def test_pattern_census_validation():
@@ -111,7 +118,7 @@ def test_pattern_census_leaves_take_the_lemma_amount(monkeypatch):
     assert pattern_census(n, max_cn, sample_rate=1.0) == pattern_census(n, max_cn, sample_rate=0.0)
     leaves = [v for v in scanned if len(v) == n]
     assert leaves
-    assert all(_pair_counterexample(v, n - 2) is None for v in leaves)
+    assert all(pair_lemma(v, n - 2) is None for v in leaves)
 
     by_lemma = 0
     for combo in combinations(range(2, max_cn + 1), n - 1):
@@ -119,7 +126,7 @@ def test_pattern_census_leaves_take_the_lemma_amount(monkeypatch):
         w = ref_min_counterexample(values[:-1])
         if w is None or values[-1] > w:
             continue
-        amount = _pair_counterexample(values, n - 2)
+        amount = pair_lemma(values, n - 2)
         by_lemma += amount is not None
         expected = ref_min_counterexample(values) if amount is None else amount
         assert spotted[values] == expected, values
@@ -350,7 +357,81 @@ def test_conjecture_scan_scans_no_rejected_leaf(monkeypatch):
     findings = conjecture_scan([5, 6, 7, 8], max_cn)
     leaves = [v for v in scanned if len(v) == 8 or v[-1] == max_cn]
     assert {f.system.values for f in findings if len(f.system) == 8} <= set(leaves)
-    assert all(_pair_counterexample(v, len(v) - 2) is None for v in leaves)
+    assert all(pair_lemma(v, len(v) - 2) is None for v in leaves)
+
+
+def test_conjecture_scan_matches_a_flat_oracle_loop():
+    """The walk, with its lemma-rejected nodes descended unscanned, finds
+    exactly the systems of five to eight values with cn <= 20 whose oracle
+    marks form the target pattern."""
+    expected = [
+        (1,) + combo
+        for n in (5, 6, 7, 8)
+        for combo in combinations(range(2, 21), n - 1)
+        if search._oracle_marks((1,) + combo) == _target_marks(n)
+    ]
+    assert [f.system.values for f in conjecture_scan([5, 6, 7, 8], 20)] == expected
+
+
+def test_conjecture_scan_defers_a_rejected_node_until_a_child_needs_it(monkeypatch):
+    """A node with children that the two-coin-sum lemma rejects is descended
+    unscanned.  It is scanned exactly when a child within its window
+    c(k-1) + ck - 1 needs its table, an interior child or a leaf the lemma
+    passes, and before any of its children is scanned."""
+    max_cn = 24
+    scan_from, lemma = search._scan_from, search._pair_counterexample
+    scanned, visited = [], set()
+
+    def scan(values, grd, start):
+        scanned.append(values)
+        return scan_from(values, grd, start)
+
+    def pair(bits, y, c):
+        visited.add(tuple(x for x in range(y + 1) if bits >> x & 1) + (c,))
+        return lemma(bits, y, c)
+
+    monkeypatch.setattr("coinsystems.search._scan_from", scan)
+    monkeypatch.setattr("coinsystems.search._pair_counterexample", pair)
+    conjecture_scan([5, 6, 7, 8], max_cn)
+    order = {values: i for i, values in enumerate(scanned)}
+    first_child_scan: dict[tuple[int, ...], int] = {}
+    for values, i in order.items():
+        first_child_scan.setdefault(values[:-1], i)
+
+    # below length 8 and the bound, every node has children
+    deferred = [
+        v
+        for v in visited
+        if len(v) < 8 and v[-1] < max_cn and pair_lemma(v, len(v) - 2) is not None
+    ]
+    needed = 0
+    for v in deferred:
+        window = range(v[-1] + 1, min(max_cn, v[-2] + v[-1] - 1) + 1)
+        need = any(
+            (len(v) < 7 and c < max_cn) or pair_lemma(v + (c,), len(v) - 1) is None
+            for c in window
+        )
+        assert (v in order) == need, v
+        if need:
+            needed += 1
+            assert order[v] < first_child_scan.get(v, len(scanned)), v
+    assert 0 < needed < len(deferred)
+
+
+def test_conjecture_scan_work_at_the_benchmark_bound(monkeypatch):
+    """A work counter for the scan benchmark's walk, lengths 5..8 with
+    c8 <= 36: the oracle scans it runs."""
+    scan_from = search._scan_from
+    calls = 0
+
+    def scan(values, grd, start):
+        nonlocal calls
+        calls += 1
+        return scan_from(values, grd, start)
+
+    monkeypatch.setattr("coinsystems.search._scan_from", scan)
+    conjecture_scan([5, 6, 7, 8], 36)
+    assert calls == 32_520
 
 
 def test_conjecture_scan_lengths_are_deterministic_across_jobs():
