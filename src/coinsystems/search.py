@@ -6,17 +6,17 @@ Each sweep covers the systems (1, c2, ..., cn) with coins drawn from
 per c2.  Under jobs > 1 the partitions run in worker processes, no more than
 there are partitions or cores, and merge in order.
 
-The census computes each prefix verdict once: an orderly prefix is extended
-by a single greedy evaluation, and a non-orderly prefix carries its minimal
-failing amount w and the oracle scan's one table, of greedy counts up to w.
-Under a coin larger than w it stays non-orderly with the same w (no
-representation of an amount below the new coin can use it).  Under a coin c
-at or below w the scan resumes at c from the parent's table cut at c, since
-c changes no count below c, except at a leaf: its mark needs a failing
-amount, not the minimal one, so a leaf takes the two-coin-sum lemma's amount
-(canonicality._pair_counterexample) when there is one and is scanned only
-otherwise.  A deterministic sample of verdicts is re-checked by a
-from-scratch scan.
+The census takes each verdict from the parent's oracle table, the scan's
+one table of greedy counts: over the whole window of an orderly node, up to
+the minimal failing amount w of a non-orderly one, and [0] at the root
+(1, c2).  A child with coin c resumes the scan at c, or at the table's end
+if that comes first, since c changes no count below c.  A leaf needs a
+failing amount, not the minimal one, so it takes the two-coin-sum lemma's
+amount (canonicality._pair_counterexample) when there is one and is scanned
+only otherwise.  Under a non-orderly node the walk stops at w: a prefix
+under a larger coin keeps w (no amount below the new coin can use it), so
+the leaves of those subtrees are all '-' and are counted, not walked.  A
+deterministic sample of the verdicts computed is re-checked from scratch.
 
 The conjecture scan looks for systems whose pattern is (+++-...-+).  A
 pattern is a property of the chain of prefixes, so one walk of each c2
@@ -49,6 +49,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 from dataclasses import dataclass
+from math import comb
 from typing import Iterable
 
 from .canonicality import InternalDisagreementError, _candidate_step, _min_counterexample
@@ -105,36 +106,34 @@ def _census_partition(args: tuple[int, int, int, int]) -> dict[str, int]:
 
     def rec(values, marks, w, grd, h, bits) -> None:
         # w is None when values is orderly; otherwise it is the minimal
-        # counterexample and, if values has children, grd reaches w and bits
-        # has bit x set for each coin x
+        # counterexample, above every coin (each is at most its parent's w),
+        # and grd reaches it.  bits has bit x set for each coin x.
         if len(values) == n:
             counts[marks] = counts.get(marks, 0) + 1
             return
         remaining = n - len(values) - 1
-        for c in range(values[-1] + 1, max_cn - remaining + 1):
+        top = max_cn - remaining
+        p = values[-1]
+        for c in range(p + 1, (top if w is None else min(w, top)) + 1):
             child = values + (c,)
             cgrd = grd
-            if w is None:
-                orderly, w2 = _extend_verdict(child)
-                if not orderly and remaining:
-                    cgrd = [0]
-                    w2 = _scan_from(child, cgrd, 1)
-            elif c > w:
-                w2 = w
-            else:
-                # a leaf needs a failing amount, not the minimal one
-                w2 = None if remaining else _pair_counterexample(bits, values[-1], c)
-                if w2 is None:
-                    cgrd = grd[:c]
-                    w2 = _scan_from(child, cgrd, c)
+            cw = None if remaining else _pair_counterexample(bits, p, c)
+            if cw is None:
+                cgrd = grd[:c]
+                cw = _scan_from(child, cgrd, min(c, len(grd)))
             # FNV-1a of child, folded on from the parent's hash
             ch = ((h ^ c) * 16777619) & 0xFFFFFFFF
             if sample_mod and ch % sample_mod == 0:
-                _spot_check(child, w2 is None, w2)
+                _spot_check(child, cw is None, cw)
             cbits = bits | 1 << c if remaining else 0
-            rec(child, marks + ("+" if w2 is None else "-"), w2, cgrd, ch, cbits)
+            rec(child, marks + ("+" if cw is None else "-"), cw, cgrd, ch, cbits)
+        if w is not None and w < top:
+            # every prefix under a coin above w keeps w: its leaves are all
+            # '-', one per choice of the remaining + 1 coins from w + 1 up
+            tail = marks + "-" * (remaining + 1)
+            counts[tail] = counts.get(tail, 0) + comb(max_cn - w, remaining + 1)
 
-    rec((1, c2), "++", None, None, _fingerprint((1, c2)), 2 | 1 << c2)
+    rec((1, c2), "++", None, [0], _fingerprint((1, c2)), 2 | 1 << c2)
     return counts
 
 

@@ -133,6 +133,81 @@ def test_pattern_census_leaves_take_the_lemma_amount(monkeypatch):
     assert by_lemma
 
 
+@pytest.mark.parametrize("n, max_cn", [(7, 18), (8, 17)])
+def test_pattern_census_matches_a_flat_oracle_loop(n, max_cn):
+    """The walk, with the leaves under a coin above w counted rather than
+    visited (over half of them at these bounds), gives every system its
+    oracle marks."""
+    expected = Counter(
+        search._oracle_marks((1,) + combo)
+        for combo in combinations(range(2, max_cn + 1), n - 1)
+    )
+    assert pattern_census(n, max_cn, sample_rate=0.0) == dict(expected)
+
+
+def test_pattern_census_spot_checks_exactly_the_walked_children(monkeypatch):
+    """At sample rate 1 every child the walk computes a verdict for is
+    spot-checked once, and those children are exactly the prefixes none of
+    whose coins exceeds the minimal counterexample of the prefix below it."""
+    n, max_cn = 6, 16
+    spot_check = search._spot_check
+    spotted = []
+
+    def spot(values, orderly, w):
+        spotted.append(values)
+        return spot_check(values, orderly, w)
+
+    monkeypatch.setattr("coinsystems.search._spot_check", spot)
+    pattern_census(n, max_cn, sample_rate=1.0)
+
+    def walked(values):
+        for k in range(3, len(values) + 1):
+            w = search._min_counterexample(values[:k - 1])
+            if w is not None and values[k - 1] > w:
+                return False
+        return True
+
+    expected = [
+        (1,) + combo
+        for k in range(3, n + 1)
+        for combo in combinations(range(2, max_cn - (n - k) + 1), k - 1)
+        if walked((1,) + combo)
+    ]
+    assert len(spotted) == len(set(spotted)) == 2_616
+    assert sorted(spotted) == sorted(expected)
+
+
+def test_pattern_census_work_at_the_benchmark_bound(monkeypatch):
+    """Work counters for the census benchmark's walk, n = 7 with c7 <= 30:
+    the oracle scans it runs and the two-coin-sum lemma calls, one per leaf
+    visited.  A walk that visited all 475,020 leaves, with a one-point test
+    and a rescan from 1 under an orderly parent, ran 42,137 scans and 96,668
+    lemma calls."""
+    scan_from, lemma = search._scan_from, search._pair_counterexample
+    calls = Counter()
+
+    def scan(values, grd, start):
+        calls["scan"] += 1
+        return scan_from(values, grd, start)
+
+    def pair(bits, y, c):
+        calls["lemma"] += 1
+        return lemma(bits, y, c)
+
+    monkeypatch.setattr("coinsystems.search._scan_from", scan)
+    monkeypatch.setattr("coinsystems.search._pair_counterexample", pair)
+    assert sum(pattern_census(7, 30).values()) == comb(29, 6)
+    assert calls == {"scan": 44_989, "lemma": 102_344}
+
+
+def test_pattern_census_is_identical_across_jobs_and_sampling():
+    """Neither the worker processes nor a spot-check of every verdict
+    changes the counts."""
+    assert pattern_census(7, 20, jobs=2, sample_rate=1.0) == pattern_census(
+        7, 20, sample_rate=0.0
+    )
+
+
 # ---------- agreement sweep ----------
 
 
