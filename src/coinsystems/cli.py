@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from typing import Sequence
@@ -244,6 +245,7 @@ def _cmd_conjecture(args: argparse.Namespace) -> int:
 # ---------- parser ----------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coinsystems",

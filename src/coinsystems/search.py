@@ -28,14 +28,16 @@ census does.  Inside a subtree where every added coin exceeds the inherited
 w, all leaves stay non-orderly, so no finding can appear and the subtree is
 skipped.  A node no longer length can grow from is a leaf: only its own
 verdict matters, so it is scanned only if the two-coin-sum lemma finds no
-counterexample among the sums of c(n-1) and a coin.  A node with children
-that the lemma rejects is proved not orderly, so it is no finding and is
-descended unscanned.  Its minimal counterexample lies below c(k-1) + ck
-(Kozen & Zaks), so until its scan no child at or above that can matter; a
-leaf child the lemma rejects reads no table, so the node is scanned at its
-first child that does, an interior child or a leaf the lemma passes, and
-from there the children stop at its w as usual.  Every emitted finding is
-re-verified per prefix by the oracle.
+counterexample among the sums of c(n-1) and a coin.  The children c of a
+node (..., ck) lie below 2ck (see below), where 2ck fails unless 2ck - c
+is a coin, so only those leaves are tried.  A node with children that the
+lemma rejects is proved not orderly, so it is no finding and is descended
+unscanned.  Its amount a is a counterexample, so w <= a, and until the
+scan no child above a can matter; a leaf child the lemma rejects reads no
+table, so the node is scanned at its first child that does, an interior
+child or a leaf the lemma passes, and from there the children stop at w as
+usual.  Both w and a lie below c(k-1) + ck < 2ck (Kozen & Zaks).  Every
+emitted finding is re-verified per prefix by the oracle.
 
 The agreement sweep walks the same tree carrying each node's first failure w
 and the oracle's table ending at w; a child inherits w under a larger coin and
@@ -213,58 +215,68 @@ def _scan_partition(
     slack = [min(n for n in lengths if n >= d) - d for d in range(deepest + 1)]
     found: dict[int, list[tuple[int, ...]]] = {n: [] for n in lengths}
 
-    def rec(
-        values: tuple[int, ...], bits: int, w: int | None, grd: list[int] | None, h: int
-    ) -> None:
+    def rec(values, bits, w, grd, h, scanned=True) -> None:
         # bits has bit x set for each coin x.  w is None while values is an
-        # orderly 2- or 3-prefix, or a node of five or more values that the
-        # two-coin-sum lemma proved not orderly and that is not scanned yet,
-        # grd being its parent's table.  Otherwise values is not orderly, with
-        # minimal counterexample w and greedy counts up to w in grd; beyond w
-        # every leaf below stays '-', so the subtree is skipped, and each
-        # child resumes the scan at its new coin unless the lemma rejects it.
+        # orderly 2- or 3-prefix.  Otherwise values is not orderly and w is a
+        # counterexample: once values is scanned, the minimal one, with the
+        # greedy counts up to w in grd; before that, the two-coin-sum lemma's
+        # amount, with grd the parent's table.  The minimal counterexample is
+        # at most w either way, and a child above it keeps it (no amount below
+        # the new coin can use it), so every leaf below that child stays '-':
+        # the children stop at w.
         depth = len(values) + 1
         top = max_cn - slack[depth]
         # a child from this coin up leaves no room for a longer length
         leaf_from = 0 if depth == deepest else max_cn - slack[depth + 1]
         p = values[-1]
-        first = p + 1
-        if w is None and depth > 5:
-            # w < c(k-1) + ck (Kozen & Zaks) bounds the children before the
-            # scan; a leaf the lemma rejects reads no table, so values is
-            # scanned at the first child that does
-            for first in range(first, min(top, values[-2] + p - 1) + 1):
-                if first < leaf_from or _pair_counterexample(bits, p, first) is None:
-                    break
-            else:
-                return
-            grd = grd[:p]
-            w = _scan_from(values, grd, p)
-        for c in range(first, (top if w is None else min(w, top)) + 1):
-            child = values + (c,)
-            if depth > 4:
-                if _pair_counterexample(bits, p, c) is not None:
-                    if c < leaf_from:
-                        rec(child, bits | 1 << c, None, grd, h)
+        if depth <= 4:
+            for c in range(p + 1, top + 1):
+                # the first three marks must be '+', the fourth '-'
+                child = values + (c,)
+                orderly, cw = _extend_verdict(child)
+                ch = ((h ^ c) * 16777619) & 0xFFFFFFFF
+                if sample_mod and ch % sample_mod == 0:
+                    _spot_check(child, orderly, cw)
+                if orderly and depth == 3:
+                    rec(child, bits | 1 << c, None, None, ch)
+                elif not orderly and depth == 4:
+                    cgrd = [0]
+                    rec(child, bits | 1 << c, _scan_from(child, cgrd, 1), cgrd, ch)
+            return
+        hi = w if w < top else top  # not min(), whose call costs at every node
+        if p + 1 < leaf_from:
+            if not scanned:
+                # an interior child reads the table, so scan before the first
+                grd = grd[:p]
+                w, scanned = _scan_from(values, grd, p), True
+                hi = w if w < top else top
+            for c in range(p + 1, (hi if hi < leaf_from else leaf_from - 1) + 1):
+                child = values + (c,)
+                cw = _pair_counterexample(bits, p, c)
+                if cw is not None:
+                    rec(child, bits | 1 << c, cw, grd, h, False)
                     continue
                 cgrd = grd[:c]
                 cw = _scan_from(child, cgrd, c)
-                if cw is None:
-                    if depth in found:
-                        found[depth].append(child)
-                elif c < leaf_from:
+                if cw is not None:
                     rec(child, bits | 1 << c, cw, cgrd, h)
+                elif depth in found:
+                    found[depth].append(child)
+        # every child lies below w < c(k-1) + p < 2p, and the lemma with
+        # x = y = p passes a leaf c < 2p only if 2p - c is a coin
+        for x in values[-2::-1]:
+            c = 2 * p - x
+            if c > hi:
+                break
+            if c < leaf_from or _pair_counterexample(bits, p, c) is not None:
                 continue
-            # the first three marks must be '+', the fourth '-'
-            orderly, cw = _extend_verdict(child)
-            ch = ((h ^ c) * 16777619) & 0xFFFFFFFF
-            if sample_mod and ch % sample_mod == 0:
-                _spot_check(child, orderly, cw)
-            if orderly and depth == 3:
-                rec(child, bits | 1 << c, None, None, ch)
-            elif not orderly and depth == 4:
-                cgrd = [0]
-                rec(child, bits | 1 << c, _scan_from(child, cgrd, 1), cgrd, ch)
+            if not scanned:
+                grd = grd[:p]
+                w, scanned = _scan_from(values, grd, p), True
+                hi = min(w, top)
+            cgrd = grd[:c]
+            if c <= hi and _scan_from(values + (c,), cgrd, c) is None:
+                found[depth].append(values + (c,))
 
     rec((1, c2), 2 | 1 << c2, None, None, _fingerprint((1, c2)))
     return found

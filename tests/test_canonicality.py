@@ -20,6 +20,7 @@ from coinsystems import (
 from coinsystems.canonicality import (
     _candidate_verdict,
     _failing_candidates,
+    _min_counterexample,
     _optimal_count_vectors,
     _pair_counterexample,
     _scan_from,
@@ -348,6 +349,33 @@ def test_pair_counterexample_known_values():
     assert pair_lemma((1, 4, 5, 7), 1) is None
     # no two coins below the top sum past it
     assert pair_lemma((1, 2, 3, 7), 2) is None
+
+
+def test_pair_counterexample_bounds_the_children_and_their_leaves():
+    """The two facts the conjecture scan walks by, on every system with 4 to
+    6 values and cn <= 18 that the lemma rejects at an amount a: the minimal
+    counterexample w is at most a, and a child with a coin above a keeps w.
+    Also, the lemma passes a child c in (p, 2p) of the top coin p only if
+    2p - c is a coin, as the sum p + p fails otherwise."""
+    nodes = above = survivors = 0
+    for n in range(4, 7):
+        for combo in combinations(range(2, 19), n - 1):
+            values = (1,) + combo
+            a = pair_lemma(values, n - 2)
+            if a is None:
+                continue
+            nodes += 1
+            w = _min_counterexample(values)
+            assert w <= a, values
+            for c in range(a + 1, 26):
+                above += 1
+                assert _min_counterexample(values + (c,)) == w, (values, c)
+            p = values[-1]
+            for c in range(p + 1, 2 * p):
+                if pair_lemma(values + (c,), n - 1) is None:
+                    survivors += 1
+                    assert 2 * p - c in values, (values, c)
+    assert (nodes, above, survivors) == (8_221, 39_015, 15_265)
 
 
 def test_gap_filter_known_values():

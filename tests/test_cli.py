@@ -12,7 +12,7 @@ import pytest
 
 import coinsystems
 from coinsystems import InternalDisagreementError
-from coinsystems.cli import main
+from coinsystems.cli import _build_parser, main
 
 from bruteforce import ref_greedy_counts, ref_lex_smallest_optimal, ref_min_counterexample
 
@@ -406,3 +406,19 @@ def test_commands_in_one_process_match_fresh_runs():
             capture_output=True, text=True, env=env, timeout=60,
         )
         assert _run_captured(argv) == (alone.returncode, alone.stdout, alone.stderr)
+
+
+def test_the_cached_parser_carries_no_state_between_calls():
+    """main reuses one parser; a usage error through it leaves the next
+    commands printing what a fresh interpreter prints."""
+    assert _build_parser() is _build_parser()
+    assert _run_captured(["check", "1,3,4", "--oracle", "--pearson"])[0] == 2
+    src = os.path.dirname(os.path.dirname(os.path.abspath(coinsystems.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    for argv in [["check", "1,3,4"], ["pattern", "1,2,5,6,10"]]:
+        alone = subprocess.run(
+            [sys.executable, "-m", "coinsystems", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert _run_captured(argv)[:2] == (alone.returncode, alone.stdout)
+        assert alone.stdout

@@ -450,9 +450,9 @@ def test_conjecture_scan_matches_a_flat_oracle_loop():
 
 def test_conjecture_scan_defers_a_rejected_node_until_a_child_needs_it(monkeypatch):
     """A node with children that the two-coin-sum lemma rejects is descended
-    unscanned.  It is scanned exactly when a child within its window
-    c(k-1) + ck - 1 needs its table, an interior child or a leaf the lemma
-    passes, and before any of its children is scanned."""
+    unscanned.  It is scanned exactly when a child up to the lemma's amount
+    needs its table, an interior child or a leaf the lemma passes, and
+    before any of its children is scanned."""
     max_cn = 24
     scan_from, lemma = search._scan_from, search._pair_counterexample
     scanned, visited = [], set()
@@ -481,7 +481,7 @@ def test_conjecture_scan_defers_a_rejected_node_until_a_child_needs_it(monkeypat
     ]
     needed = 0
     for v in deferred:
-        window = range(v[-1] + 1, min(max_cn, v[-2] + v[-1] - 1) + 1)
+        window = range(v[-1] + 1, min(max_cn, pair_lemma(v, len(v) - 2)) + 1)
         need = any(
             (len(v) < 7 and c < max_cn) or pair_lemma(v + (c,), len(v) - 1) is None
             for c in window
@@ -493,20 +493,45 @@ def test_conjecture_scan_defers_a_rejected_node_until_a_child_needs_it(monkeypat
     assert 0 < needed < len(deferred)
 
 
-def test_conjecture_scan_work_at_the_benchmark_bound(monkeypatch):
-    """A work counter for the scan benchmark's walk, lengths 5..8 with
-    c8 <= 36: the oracle scans it runs."""
+def test_conjecture_scan_stops_at_w_when_a_leaf_triggers_the_scan(monkeypatch):
+    """A deferred node that is scanned for its first leaf the lemma passes
+    may find its w below that leaf, which then keeps w and is not scanned.
+    At length 10 with c10 <= 23, (1,2,4,5,7,8,10,12,15) has lemma amount 24
+    and w = 18, and 23 is the only leaf up to 24 that the lemma passes."""
+    node = (1, 2, 4, 5, 7, 8, 10, 12, 15)
+    assert pair_lemma(node, 7) == 24 and ref_min_counterexample(node) == 18
+    assert [c for c in range(16, 25) if pair_lemma(node + (c,), 8) is None] == [23]
     scan_from = search._scan_from
-    calls = 0
+    scanned = []
 
     def scan(values, grd, start):
-        nonlocal calls
-        calls += 1
+        assert start <= len(grd), values
+        scanned.append(values)
         return scan_from(values, grd, start)
 
     monkeypatch.setattr("coinsystems.search._scan_from", scan)
+    assert conjecture_scan([10], 23) == []
+    assert node in scanned and node + (23,) not in scanned
+
+
+def test_conjecture_scan_work_at_the_benchmark_bound(monkeypatch):
+    """Work counters for the scan benchmark's walk, lengths 5..8 with
+    c8 <= 36: the oracle scans and the two-coin-sum lemma calls it runs."""
+    scan_from, lemma = search._scan_from, search._pair_counterexample
+    calls = Counter()
+
+    def scan(values, grd, start):
+        calls["scan"] += 1
+        return scan_from(values, grd, start)
+
+    def pair(bits, y, c):
+        calls["lemma"] += 1
+        return lemma(bits, y, c)
+
+    monkeypatch.setattr("coinsystems.search._scan_from", scan)
+    monkeypatch.setattr("coinsystems.search._pair_counterexample", pair)
     conjecture_scan([5, 6, 7, 8], 36)
-    assert calls == 32_520
+    assert calls == {"scan": 31_689, "lemma": 209_365}
 
 
 def test_conjecture_scan_lengths_are_deterministic_across_jobs():
