@@ -341,10 +341,15 @@ def disjoint_support_check(system: CoinSystem) -> SupportCheck:
 
     Verified against every optimal representation by exhaustive enumeration.
     """
-    values = system.values
-    w = _min_counterexample(values)
+    w = _min_counterexample(system.values)
     if w is None:
         return SupportCheck(status="vacuous")
+    return _support_at(system, w)
+
+
+def _support_at(system: CoinSystem, w: int) -> SupportCheck:
+    """disjoint_support_check at w, the system's minimal counterexample."""
+    values = system.values
     greedy_counts = _greedy_counts(values, w)
     greedy = Representation(system, tuple(greedy_counts))
     for opt_counts in _optimal_count_vectors(values, w):

@@ -39,11 +39,11 @@ child or a leaf the lemma passes, and from there the children stop at w as
 usual.  Both w and a lie below c(k-1) + ck < 2ck (Kozen & Zaks).  Every
 emitted finding is re-verified per prefix by the oracle.
 
-The agreement sweep walks the same tree carrying each node's first failure w
-and the oracle's table ending at w; a child inherits w under a larger coin and
-otherwise resumes the scan.  Beside them it carries the candidate test's own
-state, extended at each child by greedy counts alone, and every leaf's
-smallest failing candidate must equal w.
+The agreement sweep iterates _oracle_walk, which yields each prefix in
+preorder with its first failure w (a child inherits w under a larger coin,
+else resumes its parent's oracle table), and keeps the candidate test's
+state (f, pending) per depth, extended from the level above by greedy counts
+alone; every leaf's f must equal w.  Neither side calls the other's test.
 """
 
 from __future__ import annotations
@@ -330,30 +330,43 @@ def conjecture_scan(
 # ---------- verdict agreement sweep ----------
 
 
-def _agreement_partition(args: tuple[int, int, int]) -> tuple[int, list[tuple[int, ...]]]:
-    n, max_cn, c2 = args
-    checked = 0
-    disagreements: list[tuple[int, ...]] = []
-
-    def rec(values, w, grd, f, pending) -> None:
-        # grd holds the greedy counts below len(grd), which is w + 1 if w is set
-        nonlocal checked
+def _oracle_walk(n: int, max_cn: int, c2: int):
+    """Yield (values, w), w the minimal counterexample or None, for every
+    prefix of length 3..n under (1, c2) of the systems with n values bounded
+    by max_cn, in preorder (lexicographic order).  A child above w inherits
+    w; any other resumes its parent's table, [0] at the root."""
+    stack = [((1, c2), None, [0])]
+    while stack:
+        values, w, grd = stack.pop()
         depth = len(values) + 1
-        for c in range(values[-1] + 1, max_cn - (n - depth) + 1):
+        if depth > 3:
+            yield values, w
+        cs = range(values[-1] + 1, max_cn - (n - depth) + 1)
+        for c in cs if depth == n else reversed(cs):
             child = values + (c,)
             cgrd, cw = grd, w
             if w is None or c <= w:
                 cgrd = grd[:c]
                 cw = _scan_from(child, cgrd, min(c, len(grd)))
-            cf, cpending = _candidate_step(child, f, pending)
-            if depth < n:
-                rec(child, cw, cgrd, cf, cpending)
+            if depth == n:
+                yield child, cw
             else:
-                checked += 1
-                if cf != cw:
-                    disagreements.append(child)
+                stack.append((child, cw, cgrd))
 
-    rec((1, c2), None, [0], None, [])
+
+def _agreement_partition(args: tuple[int, int, int]) -> tuple[int, list[tuple[int, ...]]]:
+    n = args[0]
+    checked = 0
+    disagreements: list[tuple[int, ...]] = []
+    # state[k] is the candidate state (f, pending) of the current k-prefix
+    state = [(None, [])] * (n + 1)
+    for values, w in _oracle_walk(*args):
+        k = len(values)
+        f, _ = state[k] = _candidate_step(values, *state[k - 1])
+        if k == n:
+            checked += 1
+            if f != w:
+                disagreements.append(values)
     return checked, disagreements
 
 
@@ -369,9 +382,4 @@ def agreement_sweep(
         raise ValueError("need n >= 3")
     args = [(n, max_cn, c2) for c2 in range(2, max_cn - n + 3)]
     partials = _run_partitions(_agreement_partition, args, jobs)
-    checked = 0
-    disagreements: list[tuple[int, ...]] = []
-    for part_count, part_bad in partials:
-        checked += part_count
-        disagreements.extend(part_bad)
-    return checked, disagreements
+    return sum(c for c, _ in partials), [v for _, bad in partials for v in bad]

@@ -277,6 +277,28 @@ def test_agreement_sweep_is_deterministic_across_jobs():
     assert agreement_sweep(5, 20, jobs=1) == agreement_sweep(5, 20, jobs=2)
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_oracle_walk_matches_a_flat_reference_loop(n):
+    """Chained over c2, the walk yields every prefix of length 3..n of the
+    systems with n values and cn <= 20, in lexicographic order, each with
+    the reference's minimal counterexample."""
+    max_cn = 20
+    walked = [
+        node
+        for c2 in range(2, max_cn - n + 3)
+        for node in search._oracle_walk(n, max_cn, c2)
+    ]
+    prefixes = sorted(
+        {
+            (1,) + combo[: k - 1]
+            for combo in combinations(range(2, max_cn + 1), n - 1)
+            for k in range(3, n + 1)
+        }
+    )
+    assert walked == [(v, ref_min_counterexample(v)) for v in prefixes]
+    assert len(walked) == {3: 171, 4: 1122, 5: 4828, 6: 15488}[n]
+
+
 # ---------- conjecture scan ----------
 
 
