@@ -11,7 +11,7 @@ so checking only those decides the verdict in O(n^3) coin operations.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import partial
 
@@ -101,17 +101,19 @@ def min_counterexample_oracle(system: CoinSystem) -> int | None:
 
 def _level_candidates(values: tuple[int, ...]) -> list[tuple[int, int]]:
     """The candidates from the greedy vector of c - 1 for the top coin c:
-    its first p entries zeroed and entry p raised by one, for p = 1, 2, ...,
+    its entries below p zeroed and entry p raised by one, for p = 1, 2, ...,
     as (amount, coins in the candidate vector); amounts are at least c and
-    depend on no coin above c."""
+    depend on no coin above c.  One greedy pass from the top gives them all:
+    once c - 1 has paid its coins down to values[p], what it has paid is
+    that vector with entries below p zeroed, and rem is what they held."""
     c = values[-1]
-    base = _greedy_counts(values, c - 1)
-    w, size, out = c - 1, sum(base), []
-    # running sums over the zeroed prefix
-    for p in range(1, len(values) - 1):
-        w -= base[p - 1] * values[p - 1]
-        size -= base[p - 1]
-        out.append((w + values[p], size + 1))
+    rem, size, out = c - 1, 1, []
+    for p in range(len(values) - 2, 0, -1):
+        d = values[p]
+        if d <= rem:
+            q, rem = divmod(rem, d)
+            size += q
+        out.append((c - 1 - rem + d, size))
     return out
 
 
@@ -126,7 +128,7 @@ def _candidate_step(
     c = values[-1]
     if f is not None and f < c:
         return f, pending
-    pending = sorted([x for x in pending if x[0] >= c] + _level_candidates(values))
+    pending = sorted(pending[bisect_left(pending, (c,)) :] + _level_candidates(values))
     for amount, size in pending:
         if _greedy_count(values, amount) > size:
             return amount, pending

@@ -18,8 +18,10 @@ from coinsystems import (
     pattern,
 )
 from coinsystems.canonicality import (
+    _candidate_step,
     _candidate_verdict,
     _failing_candidates,
+    _level_candidates,
     _min_counterexample,
     _optimal_count_vectors,
     _pair_counterexample,
@@ -33,6 +35,7 @@ from bruteforce import (
     coin_values_exact,
     ref_all_optimal,
     ref_greedy_count,
+    ref_greedy_counts,
     ref_is_orderly,
     ref_lex_smallest_optimal,
     ref_min_counterexample,
@@ -164,6 +167,30 @@ def test_failing_candidates_are_minimal_counterexamples(values):
     assert _failing_candidates(values) == expected
     witness = is_orderly(CoinSystem(values)).witness
     assert (witness.value if witness else None) == expected[-1]
+
+
+def test_level_candidates_match_their_definition():
+    """The one greedy pass gives, in some order, c - 1's greedy vector with
+    its entries below p zeroed and entry p raised, for p = 1..n-2."""
+    for n in range(3, 7):
+        for rest in combinations(range(2, 21), n - 1):
+            values = (1, *rest)
+            base = ref_greedy_counts(values, values[-1] - 1)
+            expected = []
+            for p in range(1, n - 1):
+                vec = [0] * p + [base[p] + 1] + list(base[p + 1 :])
+                expected.append((sum(k * d for k, d in zip(vec, values)), sum(vec)))
+            assert sorted(_level_candidates(values)) == sorted(expected), values
+
+
+def test_candidate_step_keeps_the_pending_suffix_at_or_above_c():
+    """Pending becomes the parent's candidates with amount >= c, those equal
+    to c included, merged with the level's (10, 2) and (11, 4); the smallest
+    pending amount that greedy pays with more coins is the failure."""
+    parent = [(6, 3), (9, 5), (10, 3), (10, 4), (12, 3), (13, 1)]
+    f, pending = _candidate_step((1, 2, 5, 10), None, parent)
+    assert pending == [(10, 2), (10, 3), (10, 4), (11, 4), (12, 3), (13, 1)]
+    assert f == 13
 
 
 def test_candidate_route_uses_no_dp_table(monkeypatch):
