@@ -6,17 +6,21 @@ Each sweep covers the systems (1, c2, ..., cn) with coins drawn from
 per c2.  Under jobs > 1 the partitions run in worker processes, no more than
 there are partitions or cores, and merge in order.
 
-The census takes each verdict from the parent's oracle table, the scan's
-one table of greedy counts: over the whole window of an orderly node, up to
-the minimal failing amount w of a non-orderly one, and [0] at the root
-(1, c2).  A child with coin c resumes the scan at c, or at the table's end
-if that comes first, since c changes no count below c.  A leaf needs a
-failing amount, not the minimal one, so it takes the two-coin-sum lemma's
-amount (canonicality._pair_counterexample) when there is one and is scanned
-only otherwise.  Under a non-orderly node the walk stops at w: a prefix
-under a larger coin keeps w (no amount below the new coin can use it), so
-the leaves of those subtrees are all '-' and are counted, not walked.  A
-deterministic sample of the verdicts computed is re-checked from scratch.
+The census takes each verdict from the parent's oracle table, the scan's one
+table of greedy counts: over the whole window of an orderly node, up to the
+minimal failing amount w of a non-orderly one, and [0] at the root (1, c2).
+A child with coin c resumes the scan at c, or at the table's end if that
+comes first, since c changes no count below c.  A leaf needs a failing
+amount, not the minimal one, so it takes the two-coin-sum lemma's amount a
+(canonicality._pair_counterexample) when there is one and is scanned only
+otherwise.  A node (..., ck) with only leaf children does the same and
+tallies them; if the lemma rejects it, w <= a < c(k-1) + ck < 2ck, and the
+lemma with x = y = ck rejects each leaf below 2ck but 2ck - x for a coin x,
+so only those are tried, and the node is scanned at the first that the lemma
+passes.  Under a non-orderly node the walk stops at w: a prefix under a
+larger coin keeps w (no amount below the new coin can use it), so the leaves
+of those subtrees are all '-' and are counted, not walked.  A deterministic
+sample of the verdicts computed is re-checked from scratch.
 
 The conjecture scan looks for systems whose pattern is (+++-...-+).  A
 pattern is a property of the chain of prefixes, so one walk of each c2
@@ -50,6 +54,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+from collections import Counter
 from dataclasses import dataclass
 from math import comb
 from typing import Iterable
@@ -96,7 +101,8 @@ def _sample_modulus(sample_rate: float) -> int:
         raise ValueError("sample rate must be within [0, 1]")
     if sample_rate == 0.0:
         return 0
-    return max(1, round(1.0 / sample_rate))
+    # fingerprints lie below 2**32, so any larger modulus samples the same
+    return max(1, round(min(1.0 / sample_rate, 2.0**32)))
 
 
 # ---------- pattern census ----------
@@ -106,20 +112,43 @@ def _census_partition(args: tuple[int, int, int, int]) -> dict[str, int]:
     n, max_cn, c2, sample_mod = args
     counts: dict[str, int] = {}
 
+    def settle(values, marks, w, grd, h, bits, scanned=True) -> None:
+        # values has only leaf children.  Unless scanned, w is the lemma's amount a and
+        # grd the parent's table: as w <= a < c(k-1) + p < 2p, only leaves 2p - x are tried.
+        p = values[-1]
+        hi = max_cn if w is None or w > max_cn else w
+        plus = 0
+        for c in range(p + 1, hi + 1) if scanned else [2 * p - x for x in values[-2::-1]]:
+            if c > hi:
+                break
+            cw = _pair_counterexample(bits, p, c)
+            if cw is None:
+                if not scanned:
+                    grd = grd[:p]
+                    w, scanned = _scan_from(values, grd, min(p, len(grd))), True
+                    hi = w if w < max_cn else max_cn
+                    if c > hi:
+                        break
+                cw = _scan_from(values + (c,), grd[:c], c if c < len(grd) else len(grd))
+                plus += cw is None
+            ch = ((h ^ c) * 16777619) & 0xFFFFFFFF
+            if sample_mod and ch % sample_mod == 0:
+                _spot_check(values + (c,), cw is None, cw)
+        for mark, count in ("+", plus), ("-", max_cn - p - plus):
+            if count:
+                counts[marks + mark] = counts.get(marks + mark, 0) + count
+
     def rec(values, marks, w, grd, h, bits) -> None:
         # w is None when values is orderly; otherwise it is the minimal
         # counterexample, above every coin (each is at most its parent's w),
         # and grd reaches it.  bits has bit x set for each coin x.
-        if len(values) == n:
-            counts[marks] = counts.get(marks, 0) + 1
-            return
         remaining = n - len(values) - 1
         top = max_cn - remaining
         p = values[-1]
         for c in range(p + 1, (top if w is None else min(w, top)) + 1):
             child = values + (c,)
             cgrd = grd
-            cw = None if remaining else _pair_counterexample(bits, p, c)
+            cw = None if remaining > 1 else _pair_counterexample(bits, p, c)
             if cw is None:
                 cgrd = grd[:c]
                 cw = _scan_from(child, cgrd, min(c, len(grd)))
@@ -127,15 +156,20 @@ def _census_partition(args: tuple[int, int, int, int]) -> dict[str, int]:
             ch = ((h ^ c) * 16777619) & 0xFFFFFFFF
             if sample_mod and ch % sample_mod == 0:
                 _spot_check(child, cw is None, cw)
-            cbits = bits | 1 << c if remaining else 0
-            rec(child, marks + ("+" if cw is None else "-"), cw, cgrd, ch, cbits)
+            cmarks = marks + ("+" if cw is None else "-")
+            if remaining > 1:
+                rec(child, cmarks, cw, cgrd, ch, bits | 1 << c)
+            elif cgrd is grd and 2 * c - p > min(cw, max_cn):  # unscanned, no leaf to try
+                counts[cmarks + "-"] = counts.get(cmarks + "-", 0) + max_cn - c
+            else:
+                settle(child, cmarks, cw, cgrd, ch, bits | 1 << c, cgrd is not grd)
         if w is not None and w < top:
             # every prefix under a coin above w keeps w: its leaves are all
             # '-', one per choice of the remaining + 1 coins from w + 1 up
             tail = marks + "-" * (remaining + 1)
             counts[tail] = counts.get(tail, 0) + comb(max_cn - w, remaining + 1)
 
-    rec((1, c2), "++", None, [0], _fingerprint((1, c2)), 2 | 1 << c2)
+    (settle if n == 3 else rec)((1, c2), "++", None, [0], _fingerprint((1, c2)), 2 | 1 << c2)
     return counts
 
 
@@ -155,11 +189,7 @@ def pattern_census(
     mod = _sample_modulus(sample_rate)
     args = [(n, max_cn, c2, mod) for c2 in range(2, max_cn - n + 3)]
     partials = _run_partitions(_census_partition, args, jobs)
-    total: dict[str, int] = {}
-    for part in partials:
-        for marks, count in part.items():
-            total[marks] = total.get(marks, 0) + count
-    return dict(sorted(total.items()))
+    return dict(sorted(sum(map(Counter, partials), Counter()).items()))
 
 
 def _run_partitions(worker, args: list, jobs: int) -> list:

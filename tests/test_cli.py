@@ -245,6 +245,20 @@ def test_conjecture_csv_summary_on_stderr(capsys):
     assert "without_membership=1" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, rate",
+    [(["enumerate", "--n", "3", "--max", "6"], "1e-320"),
+     (["conjecture", "--n", "5", "--max", "12"], "5e-324")],
+)
+def test_a_subnormal_sample_rate_samples_nothing(capsys, argv, rate):
+    """A rate whose reciprocal overflows a float samples what --sample 0
+    samples: no fingerprint below 2**32 is a multiple of a larger modulus."""
+    assert main(argv + ["--sample", "0"]) == 0
+    expected = capsys.readouterr().out
+    assert main(argv + ["--sample", rate]) == 0
+    assert capsys.readouterr().out == expected
+
+
 # ---------- exit codes ----------
 
 

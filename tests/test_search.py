@@ -1,6 +1,7 @@
 """Tests for the pattern census, the conjecture scan, and the agreement sweep."""
 
 from collections import Counter
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 from types import SimpleNamespace
@@ -21,7 +22,8 @@ from coinsystems import search
 from coinsystems.canonicality import _candidate_step, _candidate_verdict, _pair_counterexample
 from coinsystems.families import _target_marks
 
-from bruteforce import ref_is_orderly, ref_min_counterexample, ref_pattern
+from bruteforce import ref_greedy_count, ref_is_orderly, ref_min_counterexample, ref_opt_count
+from bruteforce import ref_pattern
 
 
 # ---------- pattern census ----------
@@ -31,6 +33,51 @@ def pair_lemma(values, j):
     """The two-coin-sum lemma on values in column j: coins up to values[j]
     as a bitmask, the sums x + values[j] above the top coin."""
     return _pair_counterexample(sum(1 << x for x in values[: j + 1]), values[j], values[-1])
+
+
+def ref_pair_amount(values, y):
+    """The lemma's amount by brute force: the smallest sum x + y over coins
+    x <= y of values, above the top coin, that greedy overpays."""
+    sums = sorted(x + y for x in values if x <= y and x + y > values[-1])
+    return next((s for s in sums if ref_greedy_count(values, s) > ref_opt_count(values, s)), None)
+
+
+def census_walks(values):
+    """Whether the census computes a verdict for the prefix values: none of
+    its coins exceeds the minimal counterexample of the prefix below it."""
+    for k in range(3, len(values) + 1):
+        w = search._min_counterexample(values[: k - 1])
+        if w is not None and values[k - 1] > w:
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def census_leaf_verdicts(n, max_cn):
+    """The leaves the census computes a verdict for, by the brute-force
+    lemma and oracle.  Under a walked (n-1)-prefix v with top coin p that
+    the lemma passes, these are the leaves up to min(w, max_cn).  Under one
+    it rejects with amount a, they are the leaves 2p - x for a coin x up to
+    min(a, max_cn), in ascending order; at the first that the lemma passes v
+    is scanned, and from there the bound is min(w, max_cn)."""
+    leaves = []
+    for combo in combinations(range(2, max_cn), n - 2):
+        v = (1,) + combo
+        if not census_walks(v):
+            continue
+        p, w, a = v[-1], ref_min_counterexample(v), ref_pair_amount(v, v[-2])
+        w_hi = max_cn if w is None else min(w, max_cn)
+        if a is None:
+            leaves += [v + (c,) for c in range(p + 1, w_hi + 1)]
+            continue
+        hi, scanned = min(a, max_cn), False
+        for c in sorted(2 * p - x for x in v[:-1]):
+            if c <= hi and not scanned and ref_pair_amount(v + (c,), p) is None:
+                hi, scanned = w_hi, True
+            if c > hi:
+                break
+            leaves.append(v + (c,))
+    return tuple(leaves)
 
 
 def test_pattern_census_validation():
@@ -97,10 +144,10 @@ def test_pattern_census_full_sampling():
 
 
 def test_pattern_census_leaves_take_the_lemma_amount(monkeypatch):
-    """Under a non-orderly parent with minimal counterexample w, a leaf whose
-    top coin is at most w is marked by the two-coin-sum lemma's amount when
-    there is one, with no scan, and by its resumed scan otherwise; at sample
-    rate 1 every such amount is spot-checked as a counterexample."""
+    """Under a non-orderly parent, every leaf the census computes a verdict
+    for is marked by the two-coin-sum lemma's amount when there is one, with
+    no scan, and by its resumed scan otherwise; at sample rate 1 every such
+    amount is spot-checked as a counterexample."""
     n, max_cn = 6, 16
     scan_from, spot_check = search._scan_from, search._spot_check
     scanned, spotted = [], {}
@@ -121,10 +168,8 @@ def test_pattern_census_leaves_take_the_lemma_amount(monkeypatch):
     assert all(pair_lemma(v, n - 2) is None for v in leaves)
 
     by_lemma = 0
-    for combo in combinations(range(2, max_cn + 1), n - 1):
-        values = (1,) + combo
-        w = ref_min_counterexample(values[:-1])
-        if w is None or values[-1] > w:
+    for values in census_leaf_verdicts(n, max_cn):
+        if ref_min_counterexample(values[:-1]) is None:
             continue
         amount = pair_lemma(values, n - 2)
         by_lemma += amount is not None
@@ -137,18 +182,23 @@ def test_pattern_census_leaves_take_the_lemma_amount(monkeypatch):
 def test_pattern_census_matches_a_flat_oracle_loop(n, max_cn):
     """The walk, with the leaves under a coin above w counted rather than
     visited (over half of them at these bounds), gives every system its
-    oracle marks."""
+    oracle marks; at sample rate 1 every verdict it computes, each survivor
+    leaf of an unscanned node among them, is checked against the oracle."""
     expected = Counter(
         search._oracle_marks((1,) + combo)
         for combo in combinations(range(2, max_cn + 1), n - 1)
     )
     assert pattern_census(n, max_cn, sample_rate=0.0) == dict(expected)
+    assert pattern_census(n, max_cn, sample_rate=1.0) == dict(expected)
 
 
 def test_pattern_census_spot_checks_exactly_the_walked_children(monkeypatch):
     """At sample rate 1 every child the walk computes a verdict for is
-    spot-checked once, and those children are exactly the prefixes none of
-    whose coins exceeds the minimal counterexample of the prefix below it."""
+    spot-checked once.  Those children are the prefixes of length 3 to n - 1
+    none of whose coins exceeds the minimal counterexample of the prefix
+    below it, and the leaves that census_leaf_verdicts derives: a leaf under
+    a node that the lemma rejects, left unscanned, is checked only if it is
+    a survivor that the walk tries."""
     n, max_cn = 6, 16
     spot_check = search._spot_check
     spotted = []
@@ -160,29 +210,25 @@ def test_pattern_census_spot_checks_exactly_the_walked_children(monkeypatch):
     monkeypatch.setattr("coinsystems.search._spot_check", spot)
     pattern_census(n, max_cn, sample_rate=1.0)
 
-    def walked(values):
-        for k in range(3, len(values) + 1):
-            w = search._min_counterexample(values[:k - 1])
-            if w is not None and values[k - 1] > w:
-                return False
-        return True
-
-    expected = [
+    interior = [
         (1,) + combo
-        for k in range(3, n + 1)
+        for k in range(3, n)
         for combo in combinations(range(2, max_cn - (n - k) + 1), k - 1)
-        if walked((1,) + combo)
+        if census_walks((1,) + combo)
     ]
-    assert len(spotted) == len(set(spotted)) == 2_616
+    expected = interior + list(census_leaf_verdicts(n, max_cn))
+    assert len(interior) == 983
+    assert len(spotted) == len(set(spotted)) == 1_855
     assert sorted(spotted) == sorted(expected)
 
 
 def test_pattern_census_work_at_the_benchmark_bound(monkeypatch):
     """Work counters for the census benchmark's walk, n = 7 with c7 <= 30:
-    the oracle scans it runs and the two-coin-sum lemma calls, one per leaf
-    visited.  A walk that visited all 475,020 leaves, with a one-point test
-    and a rescan from 1 under an orderly parent, ran 42,137 scans and 96,668
-    lemma calls."""
+    the oracle scans it runs and the two-coin-sum lemma calls.  A walk that
+    visited all 475,020 leaves, with a one-point test and a rescan from 1
+    under an orderly parent, ran 42,137 scans and 96,668 lemma calls; one
+    that scanned every walked 6-prefix and tried the lemma on each leaf up to
+    w ran 44,989 scans and 102,344 lemma calls."""
     scan_from, lemma = search._scan_from, search._pair_counterexample
     calls = Counter()
 
@@ -197,7 +243,48 @@ def test_pattern_census_work_at_the_benchmark_bound(monkeypatch):
     monkeypatch.setattr("coinsystems.search._scan_from", scan)
     monkeypatch.setattr("coinsystems.search._pair_counterexample", pair)
     assert sum(pattern_census(7, 30).values()) == comb(29, 6)
-    assert calls == {"scan": 44_989, "lemma": 102_344}
+    assert calls == {"scan": 13_506, "lemma": 73_312}
+
+
+@pytest.mark.parametrize("n, max_cn, above_w", [(7, 18, 4), (6, 16, 0), (6, 20, 0)])
+def test_pattern_census_scans_an_all_leaf_node_only_for_a_survivor_the_lemma_passes(
+    monkeypatch, n, max_cn, above_w
+):
+    """A walked (n-1)-prefix that the lemma rejects is scanned exactly when
+    one of its survivor leaves 2p - x up to min(a, max_cn) passes the lemma,
+    and the first such leaf is then scanned only if it lies at or below the
+    node's w.  At (7, 18), (1,2,3,6,7,8) has a = 13 and w = 12: its survivor
+    13 = 2*8 - 3 sets off its scan and is then dropped, at one of 4 such
+    nodes."""
+    scan_from = search._scan_from
+    scanned = set()
+
+    def scan(values, grd, start):
+        scanned.add(values)
+        return scan_from(values, grd, start)
+
+    monkeypatch.setattr("coinsystems.search._scan_from", scan)
+    pattern_census(n, max_cn, sample_rate=0.0)
+
+    deferred, dropped = set(), []
+    for combo in combinations(range(2, max_cn), n - 2):
+        v = (1,) + combo
+        a = ref_pair_amount(v, v[-2])
+        if a is None or not census_walks(v):
+            continue
+        p, w = v[-1], ref_min_counterexample(v)
+        survivors = sorted(2 * p - x for x in v[:-1] if 2 * p - x <= min(a, max_cn))
+        first = next((c for c in survivors if ref_pair_amount(v + (c,), p) is None), None)
+        if first is not None:
+            deferred.add(v)
+            assert (v + (first,) in scanned) == (first <= w), v
+            if first > w:
+                dropped.append((v, first, a, w))
+    assert {v for v in scanned if len(v) == n - 1 and pair_lemma(v, n - 3) is not None} == deferred
+    assert deferred
+    assert len(dropped) == above_w
+    if n == 7:
+        assert ((1, 2, 3, 6, 7, 8), 13, 13, 12) in dropped
 
 
 def test_pattern_census_is_identical_across_jobs_and_sampling():
