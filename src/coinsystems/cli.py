@@ -68,9 +68,12 @@ def _parse_system(text: str) -> CoinSystem:
 
 def _parse_lengths(text: str) -> tuple[int, ...]:
     try:
-        return tuple(sorted({int(tok) for tok in text.split(",") if tok}))
+        lengths = tuple(sorted({int(tok) for tok in text.split(",") if tok}))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
+    if not lengths:
+        raise argparse.ArgumentTypeError("no lengths given")
+    return lengths
 
 
 def _fmt_counts(rep: Representation) -> str:

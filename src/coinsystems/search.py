@@ -173,6 +173,14 @@ def _census_partition(args: tuple[int, int, int, int]) -> dict[str, int]:
     return counts
 
 
+def _check_bounds(n: int, max_cn: int) -> None:
+    """The census and the agreement sweep take n >= 3 values up to max_cn."""
+    if n < 3:
+        raise ValueError("need n >= 3")
+    if max_cn < n:
+        raise ValueError("max_cn must be at least n, otherwise no systems exist")
+
+
 def pattern_census(
     n: int, max_cn: int, *, jobs: int = 1, sample_rate: float = 0.01
 ) -> dict[str, int]:
@@ -182,10 +190,7 @@ def pattern_census(
     The result is identical for any job count; partitions are split by c2
     and merged in order.
     """
-    if n < 3:
-        raise ValueError("need n >= 3")
-    if max_cn < n:
-        raise ValueError("max_cn must be at least n, otherwise no systems exist")
+    _check_bounds(n, max_cn)
     mod = _sample_modulus(sample_rate)
     args = [(n, max_cn, c2, mod) for c2 in range(2, max_cn - n + 3)]
     partials = _run_partitions(_census_partition, args, jobs)
@@ -408,8 +413,7 @@ def agreement_sweep(
     resume from their parents' state.  A system disagrees unless both find
     the same minimal counterexample.  Returns (systems checked,
     disagreements), the latter in lexicographic order for any jobs."""
-    if n < 3:
-        raise ValueError("need n >= 3")
+    _check_bounds(n, max_cn)
     args = [(n, max_cn, c2) for c2 in range(2, max_cn - n + 3)]
     partials = _run_partitions(_agreement_partition, args, jobs)
     return sum(c for c, _ in partials), [v for _, bad in partials for v in bad]

@@ -80,11 +80,16 @@ def test_resumed_scan_matches_reference(values, data):
     assert _scan_from(child, grd[:c], c) == ref_min_counterexample(child)
 
 
-def test_scan_matches_reference_exhaustively():
+@pytest.mark.parametrize("loop", [None, 1])
+def test_scan_matches_reference_exhaustively(loop, monkeypatch):
     """Every system with n <= 5 and cn <= 24, scanned from scratch and, as
     the sweeps do, resumed from its parent's table whenever the parent is
     orderly or its new coin c is at most the parent's w; the table holds
-    greedy counts up to w, or over the whole window when orderly."""
+    greedy counts up to w, or over the whole window when orderly.  With
+    one amount checked one by one, every longer check region goes through
+    the blocks."""
+    if loop:
+        monkeypatch.setattr("coinsystems.canonicality._LOOP", loop)
     tables = {}
     for n in range(3, 6):
         for rest in combinations(range(2, 25), n - 1):
@@ -113,14 +118,31 @@ def test_scan_matches_reference_exhaustively():
         (1, 2, 999, 1000),
         (1, 5, 10, 25, 50, 100, 2990),
         (1, 5, 21, 81, 297, 1237, 4857),  # grown coin by coin by the one-point test
+        # long check regions, with the default _LOOP of 64 (blocks of offsets
+        # 64-127, 128-255, 256-511, ...): first failures at p + m = 300 + 100,
+        # past the amounts checked one by one; 900 + 300, past a doubled
+        # block; 273 + 127, on a block's last offset; and an orderly system
+        # with four coins above m for the first 300 offsets of 1500's region
+        (1, 200, 300),
+        (1, 600, 900),
+        (1, 200, 273),
+        (1, 300, 600, 900, 1200, 1500),
     ],
 )
 def test_scan_fills_wide_gaps(values, chunk, monkeypatch):
     """Amounts past p plus the coin below p are filled, not checked, in
     chunks of any size; the scan still finds the first amount where greedy
-    beats the full DP."""
+    beats the full DP.  A block of a long check region tries only the coins
+    that can still lower its first failure, each over at least one offset."""
     if chunk:
         monkeypatch.setattr("coinsystems.canonicality._CHUNK", chunk)
+
+    def nonempty_any(comparisons):
+        comparisons = list(comparisons)
+        assert comparisons
+        return any(comparisons)
+
+    monkeypatch.setattr("coinsystems.canonicality.any", nonempty_any, raising=False)
     hi = values[-2] + values[-1]
     opt = _opt_table(values, hi - 1)
     greedy = [ref_greedy_count(values, u) for u in range(hi)]

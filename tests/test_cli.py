@@ -276,6 +276,9 @@ def test_usage_errors_exit_two(capsys):
         with pytest.raises(SystemExit) as err:
             main(["enumerate", *bounds])
         assert err.value.code == 2
+    with pytest.raises(SystemExit) as err:
+        main(["conjecture", "--n", ",", "--max", "10"])
+    assert err.value.code == 2
     capsys.readouterr()
 
 

@@ -304,6 +304,8 @@ def test_agreement_sweep_small():
     assert disagreements == []
     with pytest.raises(ValueError):
         agreement_sweep(2, 20)
+    with pytest.raises(ValueError):
+        agreement_sweep(5, 4)
 
 
 @pytest.mark.parametrize("n, max_cn", [(3, 16), (4, 14), (5, 14), (6, 14)])
