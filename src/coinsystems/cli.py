@@ -13,8 +13,8 @@ fixed header under --csv.  Standard error gets usage errors, internal
 disagreements and, under --csv, the conjecture summary; no progress is
 reported.
 Exit codes: 0 success, 1 conjecture violation, 2 usage error (including a
-request beyond a resource limit such as the DP table cap), 3 internal
-disagreement between two verdict routes.
+request beyond a resource limit: the DP table cap, or the recursion depth of
+a sweep), 3 internal disagreement between two verdict routes.
 """
 
 from __future__ import annotations

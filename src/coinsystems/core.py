@@ -24,7 +24,8 @@ DEFAULT_VALUE_CAP = 10**7
 
 
 class ResourceLimitError(RuntimeError):
-    """A query would exceed the configured DP table cap."""
+    """A query would exceed a resource limit: the DP table cap, or the
+    recursion depth that a prefix-tree walk of long systems needs."""
 
 
 @dataclass(frozen=True)

@@ -10,17 +10,13 @@ The census takes each verdict from the parent's oracle table, the scan's one
 table of greedy counts: over the whole window of an orderly node, up to the
 minimal failing amount w of a non-orderly one, and [0] at the root (1, c2).
 A child with coin c resumes the scan at c, or at the table's end if that
-comes first, since c changes no count below c.  A leaf needs a failing
-amount, not the minimal one, so it takes the two-coin-sum lemma's amount a
-(canonicality._pair_counterexample) when there is one and is scanned only
-otherwise.  A node (..., ck) with only leaf children does the same and
-tallies them; if the lemma rejects it, w <= a < c(k-1) + ck < 2ck, and the
-lemma with x = y = ck rejects each leaf below 2ck but 2ck - x for a coin x,
-so only those are tried, and the node is scanned at the first that the lemma
-passes.  Under a non-orderly node the walk stops at w: a prefix under a
-larger coin keeps w (no amount below the new coin can use it), so the leaves
-of those subtrees are all '-' and are counted, not walked.  A deterministic
-sample of the verdicts computed is re-checked from scratch.
+comes first, since c changes no count below c.  A node with only leaf
+children takes the two-coin-sum lemma (canonicality._pair_counterexample)
+before any scan, and _orderly_leaves settles its leaves.  Under a
+non-orderly node the walk stops at w: a prefix under a larger coin keeps w
+(no amount below the new coin can use it), so the leaves of those subtrees
+are all '-' and are counted, not walked.  A deterministic sample of the
+verdicts computed is re-checked from scratch.
 
 The conjecture scan looks for systems whose pattern is (+++-...-+).  A
 pattern is a property of the chain of prefixes, so one walk of each c2
@@ -30,18 +26,11 @@ is requested, and an orderly node at a requested length is a finding.  Each
 non-orderly 4-prefix is scanned once and the walk resumes below it as the
 census does.  Inside a subtree where every added coin exceeds the inherited
 w, all leaves stay non-orderly, so no finding can appear and the subtree is
-skipped.  A node no longer length can grow from is a leaf: only its own
-verdict matters, so it is scanned only if the two-coin-sum lemma finds no
-counterexample among the sums of c(n-1) and a coin.  The children c of a
-node (..., ck) lie below 2ck (see below), where 2ck fails unless 2ck - c
-is a coin, so only those leaves are tried.  A node with children that the
-lemma rejects is proved not orderly, so it is no finding and is descended
-unscanned.  Its amount a is a counterexample, so w <= a, and until the
-scan no child above a can matter; a leaf child the lemma rejects reads no
-table, so the node is scanned at its first child that does, an interior
-child or a leaf the lemma passes, and from there the children stop at w as
-usual.  Both w and a lie below c(k-1) + ck < 2ck (Kozen & Zaks).  Every
-emitted finding is re-verified per prefix by the oracle.
+skipped.  A node with children that the two-coin-sum lemma rejects is proved
+not orderly, so it is no finding, and is descended unscanned, bounded by the
+lemma's amount, until an interior child needs its table.  The leaves, nodes
+no longer length can grow from, are settled by _orderly_leaves as in the
+census.  Every emitted finding is re-verified per prefix by the oracle.
 
 The agreement sweep iterates _oracle_walk, which yields each prefix in
 preorder with its first failure w (a child inherits w under a larger coin,
@@ -54,6 +43,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from math import comb
@@ -61,7 +51,7 @@ from typing import Iterable
 
 from .canonicality import InternalDisagreementError, _candidate_step, _min_counterexample
 from .canonicality import _one_point, _pair_counterexample, _scan_from
-from .core import CoinSystem, _greedy_count, _opt_table
+from .core import CoinSystem, ResourceLimitError, _greedy_count, _opt_table
 from .families import FamilyParams, _target_marks, family_membership
 
 
@@ -89,11 +79,8 @@ def _spot_check(values: tuple[int, ...], orderly: bool, w: int | None) -> None:
             f"sweep verdict {'orderly' if orderly else 'not orderly'} "
             f"disagrees with the oracle on {values}"
         )
-    if w is not None:
-        if _greedy_count(values, w) <= _opt_table(values, w)[w]:
-            raise InternalDisagreementError(
-                f"sweep witness {w} is not a counterexample of {values}"
-            )
+    if w is not None and _greedy_count(values, w) <= _opt_table(values, w)[w]:
+        raise InternalDisagreementError(f"sweep witness {w} is not a counterexample of {values}")
 
 
 def _sample_modulus(sample_rate: float) -> int:
@@ -105,6 +92,49 @@ def _sample_modulus(sample_rate: float) -> int:
     return max(1, round(min(1.0 / sample_rate, 2.0**32)))
 
 
+def _orderly_leaves(values, bits, w, grd, scanned, lo, cap, sample_mod, h) -> list[tuple]:
+    """The orderly leaves values + (c,) with c in [lo, min(w, cap)], for a
+    node whose children are all leaves; bits has bit x set per coin x.
+
+    w is None if values is orderly.  Else it is the minimal counterexample,
+    with grd reaching it, once values is scanned, and before that the
+    two-coin-sum lemma's amount a (canonicality._pair_counterexample), with
+    grd the parent's table.  Scans resume at the end of grd.  A leaf takes
+    the lemma's failing amount if any and is scanned only otherwise.  As
+    w <= a < c(k-1) + p < 2p for the top coin p (Kozen & Zaks), and the lemma
+    with x = y = p rejects a leaf c < 2p unless 2p - c is a coin, a
+    non-orderly node tries only c = 2p - x for its coins x.  Unscanned, it is
+    scanned at the first that the lemma passes, which is dropped if it lies
+    above the new w.  With sample_mod set, a verdict is spot-checked when the
+    leaf's FNV-1a hash, folded on from the node's hash h, is a multiple of it.
+    """
+    p = values[-1]
+    p2 = 2 * p
+    hi = cap if w is None or w > cap else w
+    leaves = []
+    for x in range(p2 - lo, p2 - hi - 1, -1) if w is None else values[-2::-1]:
+        c = p2 - x
+        if c > hi:
+            break
+        if c < lo:
+            continue
+        cw = _pair_counterexample(bits, p, c)
+        if cw is None:
+            if not scanned:
+                grd = grd[:p]
+                w, scanned = _scan_from(values, grd, len(grd)), True
+                hi = w if w < cap else cap
+                if c > hi:
+                    break
+            leaf = values + (c,)
+            cw = _scan_from(leaf, grd[:c], c if c < len(grd) else len(grd))
+            if cw is None:
+                leaves.append(leaf)
+        if sample_mod and (((h ^ c) * 16777619) & 0xFFFFFFFF) % sample_mod == 0:
+            _spot_check(values + (c,), cw is None, cw)
+    return leaves
+
+
 # ---------- pattern census ----------
 
 
@@ -113,27 +143,8 @@ def _census_partition(args: tuple[int, int, int, int]) -> dict[str, int]:
     counts: dict[str, int] = {}
 
     def settle(values, marks, w, grd, h, bits, scanned=True) -> None:
-        # values has only leaf children.  Unless scanned, w is the lemma's amount a and
-        # grd the parent's table: as w <= a < c(k-1) + p < 2p, only leaves 2p - x are tried.
         p = values[-1]
-        hi = max_cn if w is None or w > max_cn else w
-        plus = 0
-        for c in range(p + 1, hi + 1) if scanned else [2 * p - x for x in values[-2::-1]]:
-            if c > hi:
-                break
-            cw = _pair_counterexample(bits, p, c)
-            if cw is None:
-                if not scanned:
-                    grd = grd[:p]
-                    w, scanned = _scan_from(values, grd, min(p, len(grd))), True
-                    hi = w if w < max_cn else max_cn
-                    if c > hi:
-                        break
-                cw = _scan_from(values + (c,), grd[:c], c if c < len(grd) else len(grd))
-                plus += cw is None
-            ch = ((h ^ c) * 16777619) & 0xFFFFFFFF
-            if sample_mod and ch % sample_mod == 0:
-                _spot_check(values + (c,), cw is None, cw)
+        plus = len(_orderly_leaves(values, bits, w, grd, scanned, p + 1, max_cn, sample_mod, h))
         for mark, count in ("+", plus), ("-", max_cn - p - plus):
             if count:
                 counts[marks + mark] = counts.get(marks + mark, 0) + count
@@ -159,7 +170,7 @@ def _census_partition(args: tuple[int, int, int, int]) -> dict[str, int]:
             cmarks = marks + ("+" if cw is None else "-")
             if remaining > 1:
                 rec(child, cmarks, cw, cgrd, ch, bits | 1 << c)
-            elif cgrd is grd and 2 * c - p > min(cw, max_cn):  # unscanned, no leaf to try
+            elif cw is not None and 2 * c - p > min(cw, max_cn):  # no survivor leaf to try
                 counts[cmarks + "-"] = counts.get(cmarks + "-", 0) + max_cn - c
             else:
                 settle(child, cmarks, cw, cgrd, ch, bits | 1 << c, cgrd is not grd)
@@ -171,6 +182,16 @@ def _census_partition(args: tuple[int, int, int, int]) -> dict[str, int]:
 
     (settle if n == 3 else rec)((1, c2), "++", None, [0], _fingerprint((1, c2)), 2 | 1 << c2)
     return counts
+
+
+_SPARE_FRAMES = 100  # of the recursion limit, left to a walk's callers and the oracle
+
+
+def _check_depth(n: int) -> None:
+    """Refuse a census or a scan of n values, whose walk nests a frame per coin."""
+    most = sys.getrecursionlimit() - _SPARE_FRAMES
+    if n > most:
+        raise ResourceLimitError(f"{n} values exceed the {most} that the walk's recursion allows")
 
 
 def _check_bounds(n: int, max_cn: int) -> None:
@@ -185,12 +206,10 @@ def pattern_census(
     n: int, max_cn: int, *, jobs: int = 1, sample_rate: float = 0.01
 ) -> dict[str, int]:
     """Count the systems with n values bounded by max_cn by orderliness
-    pattern.
-
-    The result is identical for any job count; partitions are split by c2
-    and merged in order.
-    """
+    pattern, identically for any job count: partitions are split by c2 and
+    merged in order."""
     _check_bounds(n, max_cn)
+    _check_depth(n)
     mod = _sample_modulus(sample_rate)
     args = [(n, max_cn, c2, mod) for c2 in range(2, max_cn - n + 3)]
     partials = _run_partitions(_census_partition, args, jobs)
@@ -233,87 +252,70 @@ def summarize_findings(findings: Iterable[ConjectureFinding]) -> ConjectureSumma
     findings with 3r+1 values for r >= 2."""
     findings = list(findings)
     missing = tuple(f for f in findings if f.membership is None)
-    bad_len = tuple(
-        f for f in findings if len(f.system) % 3 == 1 and len(f.system) >= 7
-    )
-    return ConjectureSummary(
-        total=len(findings), without_membership=missing, forbidden_length=bad_len
-    )
+    bad_len = tuple(f for f in findings if len(f.system) % 3 == 1 and len(f.system) >= 7)
+    return ConjectureSummary(len(findings), missing, bad_len)
 
 
 def _scan_partition(
     args: tuple[tuple[int, ...], int, int, int]
 ) -> dict[int, list[tuple[int, ...]]]:
     lengths, max_cn, c2, sample_mod = args
-    deepest = lengths[-1]
-    # a coin at depth d leaves room for the shortest requested length >= d
-    slack = [min(n for n in lengths if n >= d) - d for d in range(deepest + 1)]
+    # top[d], the largest coin at depth d, leaves room for the shortest
+    # requested length >= d; a child at depth d from top[d + 1] up leaves no
+    # room for a longer length, so it is a leaf (past the deepest length, 0)
+    top = [max_cn - min(n for n in lengths if n >= d) + d for d in range(lengths[-1] + 1)] + [0]
     found: dict[int, list[tuple[int, ...]]] = {n: [] for n in lengths}
 
-    def rec(values, bits, w, grd, h, scanned=True) -> None:
-        # bits has bit x set for each coin x.  w is None while values is an
-        # orderly 2- or 3-prefix.  Otherwise values is not orderly and w is a
-        # counterexample: once values is scanned, the minimal one, with the
-        # greedy counts up to w in grd; before that, the two-coin-sum lemma's
-        # amount, with grd the parent's table.  The minimal counterexample is
-        # at most w either way, and a child above it keeps it (no amount below
-        # the new coin can use it), so every leaf below that child stays '-':
-        # the children stop at w.
+    def head(values, bits, h) -> None:
+        # a 2- or 3-prefix: the first three marks must be '+', the fourth '-'
         depth = len(values) + 1
-        top = max_cn - slack[depth]
-        # a child from this coin up leaves no room for a longer length
-        leaf_from = 0 if depth == deepest else max_cn - slack[depth + 1]
+        for c in range(values[-1] + 1, top[depth] + 1):
+            child = values + (c,)
+            orderly, cw = _extend_verdict(child)
+            ch = ((h ^ c) * 16777619) & 0xFFFFFFFF
+            if sample_mod and ch % sample_mod == 0:
+                _spot_check(child, orderly, cw)
+            if orderly and depth == 3:
+                head(child, bits | 1 << c, ch)
+            elif not orderly and depth == 4:
+                cgrd = [0]
+                rec(child, bits | 1 << c, _scan_from(child, cgrd, 1), cgrd)
+
+    def rec(values, bits, w, grd, scanned=True) -> None:
+        # values is not orderly; bits, w, grd and scanned are as in
+        # _orderly_leaves.  A child above w keeps it, so the children stop at w.
+        depth = len(values) + 1
+        leaf_from = top[depth + 1]
         p = values[-1]
-        if depth <= 4:
-            for c in range(p + 1, top + 1):
-                # the first three marks must be '+', the fourth '-'
-                child = values + (c,)
-                orderly, cw = _extend_verdict(child)
-                ch = ((h ^ c) * 16777619) & 0xFFFFFFFF
-                if sample_mod and ch % sample_mod == 0:
-                    _spot_check(child, orderly, cw)
-                if orderly and depth == 3:
-                    rec(child, bits | 1 << c, None, None, ch)
-                elif not orderly and depth == 4:
-                    cgrd = [0]
-                    rec(child, bits | 1 << c, _scan_from(child, cgrd, 1), cgrd, ch)
-            return
-        hi = w if w < top else top  # not min(), whose call costs at every node
         if p + 1 < leaf_from:
             if not scanned:
                 # an interior child reads the table, so scan before the first
                 grd = grd[:p]
                 w, scanned = _scan_from(values, grd, p), True
-                hi = w if w < top else top
-            for c in range(p + 1, (hi if hi < leaf_from else leaf_from - 1) + 1):
+            # a child from lo - 1 up has only leaf children
+            lo = top[depth + 2]
+            for c in range(p + 1, (w if w < leaf_from else leaf_from - 1) + 1):
                 child = values + (c,)
-                cw = _pair_counterexample(bits, p, c)
-                if cw is not None:
-                    rec(child, bits | 1 << c, cw, grd, h, False)
-                    continue
-                cgrd = grd[:c]
-                cw = _scan_from(child, cgrd, c)
-                if cw is not None:
-                    rec(child, bits | 1 << c, cw, cgrd, h)
-                elif depth in found:
-                    found[depth].append(child)
-        # every child lies below w < c(k-1) + p < 2p, and the lemma with
-        # x = y = p passes a leaf c < 2p only if 2p - c is a coin
-        for x in values[-2::-1]:
-            c = 2 * p - x
-            if c > hi:
-                break
-            if c < leaf_from or _pair_counterexample(bits, p, c) is not None:
-                continue
-            if not scanned:
-                grd = grd[:p]
-                w, scanned = _scan_from(values, grd, p), True
-                hi = min(w, top)
-            cgrd = grd[:c]
-            if c <= hi and _scan_from(values + (c,), cgrd, c) is None:
-                found[depth].append(values + (c,))
+                cgrd, cw = grd, _pair_counterexample(bits, p, c)
+                if cw is None:
+                    cgrd = grd[:c]
+                    cw = _scan_from(child, cgrd, c)
+                    if cw is None:
+                        if depth in found:
+                            found[depth].append(child)
+                        continue
+                if c + 1 < lo:
+                    rec(child, bits | 1 << c, cw, cgrd, cgrd is not grd)
+                elif 2 * c - p <= (cw if cw < leaf_from else leaf_from):  # a survivor leaf
+                    found[depth + 1] += _orderly_leaves(
+                        child, bits | 1 << c, cw, cgrd, cgrd is not grd, lo, leaf_from, 0, 0
+                    )
+        if depth in found and leaf_from <= w and leaf_from < 2 * p:  # a survivor may lie in range
+            found[depth] += _orderly_leaves(
+                values, bits, w, grd, scanned, leaf_from, top[depth], 0, 0
+            )
 
-    rec((1, c2), 2 | 1 << c2, None, None, _fingerprint((1, c2)))
+    head((1, c2), 2 | 1 << c2, _fingerprint((1, c2)))
     return found
 
 
@@ -325,11 +327,7 @@ def _oracle_marks(values: tuple[int, ...]) -> str:
 
 
 def conjecture_scan(
-    lengths: Iterable[int],
-    max_cn: int,
-    *,
-    jobs: int = 1,
-    sample_rate: float = 0.01,
+    lengths: Iterable[int], max_cn: int, *, jobs: int = 1, sample_rate: float = 0.01
 ) -> list[ConjectureFinding]:
     """Find every system with pattern (+++-...-+) within the bounds.
 
@@ -347,6 +345,7 @@ def conjecture_scan(
     walked = tuple(sorted({n for n in lengths if n <= max_cn}))
     if not walked:
         return []
+    _check_depth(walked[-1])
     args = [(walked, max_cn, c2, mod) for c2 in range(2, max_cn - walked[0] + 3)]
     partials = _run_partitions(_scan_partition, args, jobs)
     findings: list[ConjectureFinding] = []

@@ -325,10 +325,17 @@ def test_witness_disagreement_exits_three(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "argv", [["check", "1,3,4,100000000"], ["check", "--oracle", "1,2,100000000"]]
+    "argv",
+    [
+        ["check", "1,3,4,100000000"],
+        ["check", "--oracle", "1,2,100000000"],
+        ["enumerate", "--n", "988", "--max", "988"],
+        ["conjecture", "--n", "1100", "--max", "1101"],
+    ],
 )
 def test_resource_limit_is_a_usage_error(capsys, argv):
-    """A window beyond the DP table cap exits 2 with one line, no traceback."""
+    """A window beyond the DP table cap, or a sweep of systems too long for
+    the walk's recursion, exits 2 with one line, no traceback."""
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -1,5 +1,6 @@
 """Tests for the pattern census, the conjecture scan, and the agreement sweep."""
 
+import sys
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations
@@ -12,6 +13,7 @@ from coinsystems import (
     CoinSystem,
     ConjectureFinding,
     FamilyParams,
+    ResourceLimitError,
     agreement_sweep,
     conjecture_scan,
     pattern_census,
@@ -55,29 +57,75 @@ def census_walks(values):
 @lru_cache(maxsize=None)
 def census_leaf_verdicts(n, max_cn):
     """The leaves the census computes a verdict for, by the brute-force
-    lemma and oracle.  Under a walked (n-1)-prefix v with top coin p that
-    the lemma passes, these are the leaves up to min(w, max_cn).  Under one
-    it rejects with amount a, they are the leaves 2p - x for a coin x up to
-    min(a, max_cn), in ascending order; at the first that the lemma passes v
-    is scanned, and from there the bound is min(w, max_cn)."""
+    lemma and oracle.  Under a walked orderly (n-1)-prefix v with top coin
+    p, these are all the leaves up to max_cn.  Under a non-orderly one they
+    are the leaves 2p - x for a coin x, in ascending order: up to
+    min(w, max_cn) if the lemma passes v, and if it rejects v with amount a,
+    up to min(a, max_cn) until the first that the lemma passes, at which v
+    is scanned, and from there up to min(w, max_cn)."""
     leaves = []
     for combo in combinations(range(2, max_cn), n - 2):
         v = (1,) + combo
         if not census_walks(v):
             continue
         p, w, a = v[-1], ref_min_counterexample(v), ref_pair_amount(v, v[-2])
-        w_hi = max_cn if w is None else min(w, max_cn)
-        if a is None:
-            leaves += [v + (c,) for c in range(p + 1, w_hi + 1)]
+        if w is None:
+            leaves += [v + (c,) for c in range(p + 1, max_cn + 1)]
             continue
-        hi, scanned = min(a, max_cn), False
+        hi, scanned = min(w if a is None else a, max_cn), a is None
         for c in sorted(2 * p - x for x in v[:-1]):
             if c <= hi and not scanned and ref_pair_amount(v + (c,), p) is None:
-                hi, scanned = w_hi, True
+                hi, scanned = min(w, max_cn), True
             if c > hi:
                 break
             leaves.append(v + (c,))
     return tuple(leaves)
+
+
+def test_orderly_leaves_match_the_reference_exhaustively(monkeypatch):
+    """_orderly_leaves on every node of 3 to 6 values with cn <= 20 that
+    the census walks, against brute force: scanned, with its own table, and,
+    where the lemma rejects it with amount a, unscanned, with a and its
+    parent's table.  Its leaves are the orderly ones in [lo, cap], and an
+    unscanned node is scanned exactly when a survivor 2p - x in
+    [lo, min(a, cap)] passes the lemma."""
+    max_cn = 20
+    scan_from = search._scan_from
+    scanned = []
+
+    def scan(values, grd, start):
+        scanned.append(values)
+        return scan_from(values, grd, start)
+
+    monkeypatch.setattr("coinsystems.search._scan_from", scan)
+    nodes, rejected, deferred = 0, 0, 0
+    for k in range(3, 7):
+        for combo in combinations(range(2, max_cn), k - 1):
+            v = (1,) + combo
+            if not census_walks(v):
+                continue
+            nodes += 1
+            p, bits, a = v[-1], sum(1 << x for x in v), pair_lemma(v, k - 2)
+            orderly = [c for c in range(p + 1, max_cn + 1) if ref_is_orderly(v + (c,))]
+            for lo, cap in (p + 1, max_cn), ((p + max_cn) // 2 + 1, max_cn - 2):
+                expected = [v + (c,) for c in orderly if lo <= c <= cap]
+                grd = [0]
+                w = scan_from(v, grd, 1)
+                assert search._orderly_leaves(v, bits, w, grd, True, lo, cap, 0, 0) == expected
+                if a is None:
+                    continue
+                parent_grd = [0]
+                if k > 3:
+                    scan_from(v[:-1], parent_grd, 1)
+                rejected += 1
+                scanned.clear()
+                leaves = search._orderly_leaves(v, bits, a, parent_grd, False, lo, cap, 0, 0)
+                assert leaves == expected, (v, lo, cap)
+                survivors = [2 * p - x for x in v[:-1] if lo <= 2 * p - x <= min(a, cap)]
+                passed = any(ref_pair_amount(v + (c,), p) is None for c in survivors)
+                assert (v in scanned) == passed, (v, lo, cap)
+                deferred += passed
+    assert (nodes, rejected, deferred) == (6_639, 12_136, 77)
 
 
 def test_pattern_census_validation():
@@ -197,9 +245,9 @@ def test_pattern_census_spot_checks_exactly_the_walked_children(monkeypatch):
     spot-checked once.  Those children are the prefixes of length 3 to n - 1
     none of whose coins exceeds the minimal counterexample of the prefix
     below it, and the leaves that census_leaf_verdicts derives: a leaf under
-    a node that the lemma rejects, left unscanned, is checked only if it is
-    a survivor that the walk tries."""
-    n, max_cn = 6, 16
+    a non-orderly node is checked only if it is a survivor that the walk
+    tries.  At (5, 16), 8 leaves up to w of scanned non-orderly nodes, such
+    as (1, 2, 6, 13, 14), are no survivors and get no verdict."""
     spot_check = search._spot_check
     spotted = []
 
@@ -208,18 +256,19 @@ def test_pattern_census_spot_checks_exactly_the_walked_children(monkeypatch):
         return spot_check(values, orderly, w)
 
     monkeypatch.setattr("coinsystems.search._spot_check", spot)
-    pattern_census(n, max_cn, sample_rate=1.0)
-
-    interior = [
-        (1,) + combo
-        for k in range(3, n)
-        for combo in combinations(range(2, max_cn - (n - k) + 1), k - 1)
-        if census_walks((1,) + combo)
-    ]
-    expected = interior + list(census_leaf_verdicts(n, max_cn))
-    assert len(interior) == 983
-    assert len(spotted) == len(set(spotted)) == 1_855
-    assert sorted(spotted) == sorted(expected)
+    for n, max_cn, walked, checked in [(6, 16, 983, 1_855), (5, 16, 384, 865)]:
+        spotted.clear()
+        pattern_census(n, max_cn, sample_rate=1.0)
+        interior = [
+            (1,) + combo
+            for k in range(3, n)
+            for combo in combinations(range(2, max_cn - (n - k) + 1), k - 1)
+            if census_walks((1,) + combo)
+        ]
+        expected = interior + list(census_leaf_verdicts(n, max_cn))
+        assert len(interior) == walked
+        assert len(spotted) == len(set(spotted)) == checked
+        assert sorted(spotted) == sorted(expected)
 
 
 def test_pattern_census_work_at_the_benchmark_bound(monkeypatch):
@@ -228,7 +277,9 @@ def test_pattern_census_work_at_the_benchmark_bound(monkeypatch):
     visited all 475,020 leaves, with a one-point test and a rescan from 1
     under an orderly parent, ran 42,137 scans and 96,668 lemma calls; one
     that scanned every walked 6-prefix and tried the lemma on each leaf up to
-    w ran 44,989 scans and 102,344 lemma calls."""
+    w ran 44,989 scans and 102,344 lemma calls; one that tried every leaf up
+    to w of a scanned non-orderly 6-prefix, not only its survivors, ran
+    13,506 scans and 73,312 lemma calls."""
     scan_from, lemma = search._scan_from, search._pair_counterexample
     calls = Counter()
 
@@ -243,7 +294,7 @@ def test_pattern_census_work_at_the_benchmark_bound(monkeypatch):
     monkeypatch.setattr("coinsystems.search._scan_from", scan)
     monkeypatch.setattr("coinsystems.search._pair_counterexample", pair)
     assert sum(pattern_census(7, 30).values()) == comb(29, 6)
-    assert calls == {"scan": 13_506, "lemma": 73_312}
+    assert calls == {"scan": 13_506, "lemma": 73_121}
 
 
 @pytest.mark.parametrize("n, max_cn, above_w", [(7, 18, 4), (6, 16, 0), (6, 20, 0)])
@@ -627,8 +678,9 @@ def test_conjecture_scan_stops_at_w_when_a_leaf_triggers_the_scan(monkeypatch):
 
 def test_conjecture_scan_work_at_the_benchmark_bound(monkeypatch):
     """Work counters for the scan benchmark's walk, lengths 5..8 with
-    c8 <= 36: the oracle scans and the two-coin-sum lemma calls it runs."""
-    scan_from, lemma = search._scan_from, search._pair_counterexample
+    c8 <= 36: the oracle scans and the two-coin-sum lemma calls it runs, and
+    the nodes whose leaves _orderly_leaves settles."""
+    scan_from, lemma, leaves = search._scan_from, search._pair_counterexample, search._orderly_leaves
     calls = Counter()
 
     def scan(values, grd, start):
@@ -639,10 +691,28 @@ def test_conjecture_scan_work_at_the_benchmark_bound(monkeypatch):
         calls["lemma"] += 1
         return lemma(bits, y, c)
 
+    def settle(*args):
+        calls["settle"] += 1
+        return leaves(*args)
+
     monkeypatch.setattr("coinsystems.search._scan_from", scan)
     monkeypatch.setattr("coinsystems.search._pair_counterexample", pair)
+    monkeypatch.setattr("coinsystems.search._orderly_leaves", settle)
     conjecture_scan([5, 6, 7, 8], 36)
-    assert calls == {"scan": 31_689, "lemma": 209_365}
+    assert calls == {"scan": 31_689, "lemma": 209_365, "settle": 70_130}
+
+
+def test_the_walks_refuse_systems_too_long_for_their_recursion():
+    """The census and the scan nest one frame per coin.  The longest systems
+    that the recursion limit allows are walked in process, under the test
+    runner's frames and in worker processes; one value more is refused before
+    any walk starts."""
+    most = sys.getrecursionlimit() - search._SPARE_FRAMES
+    assert conjecture_scan([most], most + 1, jobs=2) == []
+    with pytest.raises(ResourceLimitError):
+        conjecture_scan([5, most + 1], most + 2)
+    with pytest.raises(ResourceLimitError):
+        pattern_census(most + 1, most + 1)
 
 
 def test_conjecture_scan_lengths_are_deterministic_across_jobs():
