@@ -52,16 +52,17 @@ _CHUNK = 1 << 14  # amounts appended per list built where no amount can fail
 _LOOP = 64
 
 
-def _scan_from(values: tuple[int, ...], grd: list[int], start: int) -> int | None:
-    """Resume the oracle scan of values at start; the first counterexample.
+def _scan_from(values: tuple[int, ...], grd: list[int]) -> int | None:
+    """Resume the oracle scan of values where grd ends; the first counterexample.
 
-    grd holds the greedy counts below start, none of which fails, and grows
-    in place up to the returned amount; None means no failure below
-    c(n-1)+cn: the system is orderly.  With p the largest coin <= v, v fails
-    iff some coin d has grd[v-d] < grd[v-p].  A coin d <= v-p repeats the
-    comparison made at v-p (greedy on v-d starts with p) and d = p ties, so
-    only v-p < d < p is tried, and the amounts from p plus the coin below p
-    up to the next coin cannot fail: they are filled, not checked.
+    grd holds greedy counts of values from amount 0 up, none failing: [0], or
+    a parent's table cut at most at the new coin, which changes no count
+    below it.  It grows in place up to the returned amount; None means no
+    failure below c(n-1)+cn: the system is orderly.  With p the largest coin
+    <= v, v fails iff some coin d has grd[v-d] < grd[v-p].  A coin d <= v-p
+    repeats the comparison made at v-p (greedy on v-d starts with p) and d = p
+    ties, so only v-p < d < p is tried, and the amounts from p plus the coin
+    below p up to the next coin cannot fail: they are filled, not checked.
 
     The check region of p, the amounts p + m below p plus the coin below p,
     is tried one amount at a time for its first _LOOP amounts; what is left
@@ -74,8 +75,8 @@ def _scan_from(values: tuple[int, ...], grd: list[int], start: int) -> int | Non
     failure.  Which path runs depends only on the region's length.
     """
     hi = values[-2] + values[-1]
-    k = bisect_right(values, start) - 1
-    v = start
+    v = len(grd)
+    k = bisect_right(values, v) - 1
     while True:
         p = values[k]
         end = values[k + 1] if k + 1 < len(values) else hi
@@ -128,7 +129,7 @@ def _min_counterexample(values: tuple[int, ...]) -> int | None:
     if len(values) <= 2:
         return None
     _check_cap(values[-2] + values[-1] - 1)
-    return _scan_from(values, [0], 1)
+    return _scan_from(values, [0])
 
 
 def min_counterexample_oracle(system: CoinSystem) -> int | None:

@@ -171,13 +171,13 @@ def fixed_gap_prefix_check(spec: FixedGapSpec) -> FixedGapPrefixReport:
         raise ValueError("even pivot needs x + delta1 > delta2 + 1")
     system = gen_fixed_gap(spec)
     values = system.values
-    if spec.ell % 2 == 1:
-        top = (3 * spec.ell - 5) // 2
-    else:
-        top = (3 * spec.ell - 4) // 2
+    top = (3 * spec.ell - 4) // 2  # (3*ell-5)/2 when ell is odd
     checks = []
     for k in range(5, min(spec.n, top) + 1):
         prefix = values[:k]
+        # the oracle refuses a window past the cap before the witness's table,
+        # which ends below that window at 2*c(k-1) or 2*c(ell-1)
+        w = _min_counterexample(prefix)
         witness = 2 * prefix[-2] if k <= spec.ell else 2 * values[spec.ell - 2]
         grd = _greedy_count(prefix, witness)
         opt = _opt_table(prefix, witness)[witness]
@@ -186,7 +186,7 @@ def fixed_gap_prefix_check(spec: FixedGapSpec) -> FixedGapPrefixReport:
                 length=k,
                 witness=witness,
                 witness_is_counterexample=grd > opt,
-                min_counterexample=_min_counterexample(prefix),
+                min_counterexample=w,
             )
         )
     return FixedGapPrefixReport(system=system, checks=tuple(checks))

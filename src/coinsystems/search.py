@@ -9,14 +9,14 @@ there are partitions or cores, and merge in order.
 The census takes each verdict from the parent's oracle table, the scan's one
 table of greedy counts: over the whole window of an orderly node, up to the
 minimal failing amount w of a non-orderly one, and [0] at the root (1, c2).
-A child with coin c resumes the scan at c, or at the table's end if that
-comes first, since c changes no count below c.  A node with only leaf
-children takes the two-coin-sum lemma (canonicality._pair_counterexample)
-before any scan, and _orderly_leaves settles its leaves.  Under a
-non-orderly node the walk stops at w: a prefix under a larger coin keeps w
-(no amount below the new coin can use it), so the leaves of those subtrees
-are all '-' and are counted, not walked.  A deterministic sample of the
-verdicts computed is re-checked from scratch.
+A child with coin c resumes the scan from the table cut at c, since c
+changes no count below c.  A node with only leaf children takes the
+two-coin-sum lemma (canonicality._pair_counterexample) before any scan, and
+_orderly_leaves settles its leaves.  Under a non-orderly node the walk stops
+at w: a prefix under a larger coin keeps w (no amount below the new coin can
+use it), so the leaves of those subtrees are all '-' and are counted, not
+walked.  A deterministic sample of the verdicts computed, orderly where its
+failing amount is None, is re-checked from scratch.
 
 The conjecture scan looks for systems whose pattern is (+++-...-+).  A
 pattern is a property of the chain of prefixes, so one walk of each c2
@@ -65,18 +65,17 @@ def _fingerprint(values: tuple[int, ...]) -> int:
     return h
 
 
-def _extend_verdict(child: tuple[int, ...]) -> tuple[bool, int | None]:
-    """Orderliness of child = an orderly parent + one coin, with a failing
-    amount (not necessarily minimal) whenever child is not orderly."""
+def _extend_verdict(child: tuple[int, ...]) -> int | None:
+    """None if child = an orderly parent + one coin is orderly, else a
+    failing amount of child (not necessarily minimal)."""
     orderly, m, _ = _one_point(child)
-    return orderly, None if orderly else m * child[-2]
+    return None if orderly else m * child[-2]
 
 
-def _spot_check(values: tuple[int, ...], orderly: bool, w: int | None) -> None:
-    oracle_w = _min_counterexample(values)
-    if (oracle_w is None) != orderly:
+def _spot_check(values: tuple[int, ...], w: int | None) -> None:
+    if (_min_counterexample(values) is None) != (w is None):
         raise InternalDisagreementError(
-            f"sweep verdict {'orderly' if orderly else 'not orderly'} "
+            f"sweep verdict {'orderly' if w is None else 'not orderly'} "
             f"disagrees with the oracle on {values}"
         )
     if w is not None and _greedy_count(values, w) <= _opt_table(values, w)[w]:
@@ -122,16 +121,16 @@ def _orderly_leaves(values, bits, w, grd, scanned, lo, cap, sample_mod, h) -> li
         if cw is None:
             if not scanned:
                 grd = grd[:p]
-                w, scanned = _scan_from(values, grd, len(grd)), True
+                w, scanned = _scan_from(values, grd), True
                 hi = w if w < cap else cap
                 if c > hi:
                     break
             leaf = values + (c,)
-            cw = _scan_from(leaf, grd[:c], c if c < len(grd) else len(grd))
+            cw = _scan_from(leaf, grd[:c])
             if cw is None:
                 leaves.append(leaf)
         if sample_mod and (((h ^ c) * 16777619) & 0xFFFFFFFF) % sample_mod == 0:
-            _spot_check(values + (c,), cw is None, cw)
+            _spot_check(values + (c,), cw)
     return leaves
 
 
@@ -162,11 +161,11 @@ def _census_partition(args: tuple[int, int, int, int]) -> dict[str, int]:
             cw = None if remaining > 1 else _pair_counterexample(bits, p, c)
             if cw is None:
                 cgrd = grd[:c]
-                cw = _scan_from(child, cgrd, min(c, len(grd)))
+                cw = _scan_from(child, cgrd)
             # FNV-1a of child, folded on from the parent's hash
             ch = ((h ^ c) * 16777619) & 0xFFFFFFFF
             if sample_mod and ch % sample_mod == 0:
-                _spot_check(child, cw is None, cw)
+                _spot_check(child, cw)
             cmarks = marks + ("+" if cw is None else "-")
             if remaining > 1:
                 rec(child, cmarks, cw, cgrd, ch, bits | 1 << c)
@@ -271,15 +270,15 @@ def _scan_partition(
         depth = len(values) + 1
         for c in range(values[-1] + 1, top[depth] + 1):
             child = values + (c,)
-            orderly, cw = _extend_verdict(child)
+            cw = _extend_verdict(child)
             ch = ((h ^ c) * 16777619) & 0xFFFFFFFF
             if sample_mod and ch % sample_mod == 0:
-                _spot_check(child, orderly, cw)
-            if orderly and depth == 3:
+                _spot_check(child, cw)
+            if cw is None and depth == 3:
                 head(child, bits | 1 << c, ch)
-            elif not orderly and depth == 4:
+            elif cw is not None and depth == 4:
                 cgrd = [0]
-                rec(child, bits | 1 << c, _scan_from(child, cgrd, 1), cgrd)
+                rec(child, bits | 1 << c, _scan_from(child, cgrd), cgrd)
 
     def rec(values, bits, w, grd, scanned=True) -> None:
         # values is not orderly; bits, w, grd and scanned are as in
@@ -291,7 +290,7 @@ def _scan_partition(
             if not scanned:
                 # an interior child reads the table, so scan before the first
                 grd = grd[:p]
-                w, scanned = _scan_from(values, grd, p), True
+                w, scanned = _scan_from(values, grd), True
             # a child from lo - 1 up has only leaf children
             lo = top[depth + 2]
             for c in range(p + 1, (w if w < leaf_from else leaf_from - 1) + 1):
@@ -299,7 +298,7 @@ def _scan_partition(
                 cgrd, cw = grd, _pair_counterexample(bits, p, c)
                 if cw is None:
                     cgrd = grd[:c]
-                    cw = _scan_from(child, cgrd, c)
+                    cw = _scan_from(child, cgrd)
                     if cw is None:
                         if depth in found:
                             found[depth].append(child)
@@ -381,7 +380,7 @@ def _oracle_walk(n: int, max_cn: int, c2: int):
             cgrd, cw = grd, w
             if w is None or c <= w:
                 cgrd = grd[:c]
-                cw = _scan_from(child, cgrd, min(c, len(grd)))
+                cw = _scan_from(child, cgrd)
             if depth == n:
                 yield child, cw
             else:

@@ -71,13 +71,13 @@ def test_oracle_matches_reference(values):
 @settings(max_examples=100, deadline=None)
 def test_resumed_scan_matches_reference(values, data):
     """A child whose new coin c is at most the parent's minimal counterexample
-    resumes the parent's table, cut at c, at c and finds its own."""
+    resumes the parent's table cut at c and finds its own."""
     grd = [0]
-    w = _scan_from(values, grd, 1)
+    w = _scan_from(values, grd)
     assume(w is not None and w > values[-1])
     c = data.draw(st.integers(values[-1] + 1, w))
     child = values + (c,)
-    assert _scan_from(child, grd[:c], c) == ref_min_counterexample(child)
+    assert _scan_from(child, grd[:c]) == ref_min_counterexample(child)
 
 
 @pytest.mark.parametrize("loop", [None, 1])
@@ -85,9 +85,10 @@ def test_scan_matches_reference_exhaustively(loop, monkeypatch):
     """Every system with n <= 5 and cn <= 24, scanned from scratch and, as
     the sweeps do, resumed from its parent's table whenever the parent is
     orderly or its new coin c is at most the parent's w; the table holds
-    greedy counts up to w, or over the whole window when orderly.  With
-    one amount checked one by one, every longer check region goes through
-    the blocks."""
+    greedy counts up to w, or over the whole window when orderly.  Up to
+    cn <= 18, every cut of the system's own table resumes to the same w and
+    table too.  With one amount checked one by one, every longer check
+    region goes through the blocks."""
     if loop:
         monkeypatch.setattr("coinsystems.canonicality._LOOP", loop)
     tables = {}
@@ -96,15 +97,20 @@ def test_scan_matches_reference_exhaustively(loop, monkeypatch):
             values = (1,) + rest
             w = ref_min_counterexample(values)
             grd = [0]
-            assert _scan_from(values, grd, 1) == w, values
+            assert _scan_from(values, grd) == w, values
             stop = values[-2] + values[-1] if w is None else w + 1
             assert grd == [ref_greedy_count(values, u) for u in range(stop)], values
+            if values[-1] <= 18:
+                for cut in range(1, len(grd)):
+                    cgrd = grd[:cut]
+                    assert _scan_from(values, cgrd) == w, (values, cut)
+                    assert cgrd == grd, (values, cut)
             if values[:-1] in tables:
                 pw, pgrd = tables[values[:-1]]
                 c = values[-1]
                 if pw is None or c <= pw:
                     cgrd = pgrd[:c]
-                    assert _scan_from(values, cgrd, min(c, len(pgrd))) == w, values
+                    assert _scan_from(values, cgrd) == w, values
                     assert cgrd == grd, values
             tables[values] = (w, grd)
 
@@ -148,7 +154,7 @@ def test_scan_fills_wide_gaps(values, chunk, monkeypatch):
     greedy = [ref_greedy_count(values, u) for u in range(hi)]
     w = next((v for v in range(hi) if greedy[v] > opt[v]), None)
     grd = [0]
-    assert _scan_from(values, grd, 1) == w
+    assert _scan_from(values, grd) == w
     assert grd == greedy[: hi if w is None else w + 1]
 
 

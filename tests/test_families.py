@@ -2,10 +2,12 @@
 
 import pytest
 
+from coinsystems import families
 from coinsystems import (
     CoinSystem,
     FamilyParams,
     FixedGapSpec,
+    ResourceLimitError,
     family_membership,
     fixed_gap_prefix_check,
     gen_D,
@@ -147,6 +149,29 @@ def test_fixed_gap_prefix_check_even_pivot_hypothesis():
     """An even pivot needs the first gap pair to outweigh delta2."""
     with pytest.raises(ValueError):
         fixed_gap_prefix_check(FixedGapSpec(n=7, ell=6, x=2, delta1=1, delta2=5))
+
+
+def test_fixed_gap_prefix_check_refuses_a_prefix_over_the_cap_before_its_table(monkeypatch):
+    """(1,40,41,44,45,49) has the 5-prefix window 88 and witness 88 = 2*44:
+    with a cap of 50 the check raises, and no table past the cap is built."""
+    monkeypatch.setattr("coinsystems.core.DEFAULT_VALUE_CAP", 50)
+    opt_table, limits = families._opt_table, []
+
+    def table(values, limit):
+        limits.append(limit)
+        return opt_table(values, limit)
+
+    monkeypatch.setattr(families, "_opt_table", table)
+    with pytest.raises(ResourceLimitError):
+        fixed_gap_prefix_check(FixedGapSpec(n=6, ell=5, x=40, delta1=1, delta2=3))
+    assert all(limit <= 50 for limit in limits)
+    # the prefixes of (1,2,5,6,9,10,13,14,18,...) under a cap of 30 are still
+    # checked at their witnesses; the 9-prefix's window, 31, is refused
+    monkeypatch.setattr("coinsystems.core.DEFAULT_VALUE_CAP", 30)
+    limits.clear()
+    with pytest.raises(ResourceLimitError):
+        fixed_gap_prefix_check(FamilyParams(family="D", r=3, a=3).spec())
+    assert limits == [12, 18, 20, 26]
 
 
 # ---------- membership ----------

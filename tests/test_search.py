@@ -13,6 +13,7 @@ from coinsystems import (
     CoinSystem,
     ConjectureFinding,
     FamilyParams,
+    InternalDisagreementError,
     ResourceLimitError,
     agreement_sweep,
     conjecture_scan,
@@ -22,6 +23,7 @@ from coinsystems import (
 
 from coinsystems import search
 from coinsystems.canonicality import _candidate_step, _candidate_verdict, _pair_counterexample
+from coinsystems.cli import main
 from coinsystems.families import _target_marks
 
 from bruteforce import ref_greedy_count, ref_is_orderly, ref_min_counterexample, ref_opt_count
@@ -93,9 +95,9 @@ def test_orderly_leaves_match_the_reference_exhaustively(monkeypatch):
     scan_from = search._scan_from
     scanned = []
 
-    def scan(values, grd, start):
+    def scan(values, grd):
         scanned.append(values)
-        return scan_from(values, grd, start)
+        return scan_from(values, grd)
 
     monkeypatch.setattr("coinsystems.search._scan_from", scan)
     nodes, rejected, deferred = 0, 0, 0
@@ -110,13 +112,13 @@ def test_orderly_leaves_match_the_reference_exhaustively(monkeypatch):
             for lo, cap in (p + 1, max_cn), ((p + max_cn) // 2 + 1, max_cn - 2):
                 expected = [v + (c,) for c in orderly if lo <= c <= cap]
                 grd = [0]
-                w = scan_from(v, grd, 1)
+                w = scan_from(v, grd)
                 assert search._orderly_leaves(v, bits, w, grd, True, lo, cap, 0, 0) == expected
                 if a is None:
                     continue
                 parent_grd = [0]
                 if k > 3:
-                    scan_from(v[:-1], parent_grd, 1)
+                    scan_from(v[:-1], parent_grd)
                 rejected += 1
                 scanned.clear()
                 leaves = search._orderly_leaves(v, bits, a, parent_grd, False, lo, cap, 0, 0)
@@ -191,6 +193,28 @@ def test_pattern_census_full_sampling():
         pattern_census(4, 10, sample_rate=1.5)
 
 
+@pytest.mark.parametrize("planted", [None, 5])
+def test_pattern_census_spot_checks_catch_a_planted_wrong_verdict(capsys, monkeypatch, planted):
+    """A scan that calls the non-orderly (1, 3, 4), whose w is 6, orderly, or
+    that gives it the amount 5, which greedy pays optimally as 4 + 1, is
+    caught at sample rate 1: the census raises and enumerate exits 3.  At
+    sample rate 0 nothing checks it."""
+    scan_from = search._scan_from
+
+    def scan(values, grd):
+        w = scan_from(values, grd)
+        return planted if values == (1, 3, 4) else w
+
+    monkeypatch.setattr("coinsystems.search._scan_from", scan)
+    pattern_census(5, 12, sample_rate=0.0)
+    with pytest.raises(InternalDisagreementError):
+        pattern_census(5, 12, sample_rate=1.0)
+    assert main(["enumerate", "--n", "5", "--max", "12", "--sample", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "internal disagreement" in captured.err
+    assert ("witness 5" in captured.err) == (planted == 5)
+
+
 def test_pattern_census_leaves_take_the_lemma_amount(monkeypatch):
     """Under a non-orderly parent, every leaf the census computes a verdict
     for is marked by the two-coin-sum lemma's amount when there is one, with
@@ -200,13 +224,13 @@ def test_pattern_census_leaves_take_the_lemma_amount(monkeypatch):
     scan_from, spot_check = search._scan_from, search._spot_check
     scanned, spotted = [], {}
 
-    def scan(values, grd, start):
+    def scan(values, grd):
         scanned.append(values)
-        return scan_from(values, grd, start)
+        return scan_from(values, grd)
 
-    def spot(values, orderly, w):
+    def spot(values, w):
         spotted[values] = w
-        return spot_check(values, orderly, w)
+        return spot_check(values, w)
 
     monkeypatch.setattr("coinsystems.search._scan_from", scan)
     monkeypatch.setattr("coinsystems.search._spot_check", spot)
@@ -251,9 +275,9 @@ def test_pattern_census_spot_checks_exactly_the_walked_children(monkeypatch):
     spot_check = search._spot_check
     spotted = []
 
-    def spot(values, orderly, w):
+    def spot(values, w):
         spotted.append(values)
-        return spot_check(values, orderly, w)
+        return spot_check(values, w)
 
     monkeypatch.setattr("coinsystems.search._spot_check", spot)
     for n, max_cn, walked, checked in [(6, 16, 983, 1_855), (5, 16, 384, 865)]:
@@ -283,9 +307,9 @@ def test_pattern_census_work_at_the_benchmark_bound(monkeypatch):
     scan_from, lemma = search._scan_from, search._pair_counterexample
     calls = Counter()
 
-    def scan(values, grd, start):
+    def scan(values, grd):
         calls["scan"] += 1
-        return scan_from(values, grd, start)
+        return scan_from(values, grd)
 
     def pair(bits, y, c):
         calls["lemma"] += 1
@@ -310,9 +334,9 @@ def test_pattern_census_scans_an_all_leaf_node_only_for_a_survivor_the_lemma_pas
     scan_from = search._scan_from
     scanned = set()
 
-    def scan(values, grd, start):
+    def scan(values, grd):
         scanned.add(values)
-        return scan_from(values, grd, start)
+        return scan_from(values, grd)
 
     monkeypatch.setattr("coinsystems.search._scan_from", scan)
     pattern_census(n, max_cn, sample_rate=0.0)
@@ -508,7 +532,7 @@ def test_conjecture_scan_eight_values_finds_an_outsider():
 def test_conjecture_scan_fails_fast_on_a_bad_length(monkeypatch):
     """A bad length is rejected before any partition is walked."""
 
-    def no_scan(values, grd, start):
+    def no_scan(values, grd):
         raise AssertionError(f"scanned {values} before the lengths were checked")
 
     monkeypatch.setattr("coinsystems.search._scan_from", no_scan)
@@ -532,13 +556,13 @@ def test_conjecture_scan_visits_each_prefix_once(monkeypatch):
     scan_from, spot_check = search._scan_from, search._spot_check
     scans, spots = [], []
 
-    def scan(values, grd, start):
-        scans.append((values, start))
-        return scan_from(values, grd, start)
+    def scan(values, grd):
+        scans.append((values, len(grd)))
+        return scan_from(values, grd)
 
-    def spot(values, orderly, w):
+    def spot(values, w):
         spots.append(values)
-        return spot_check(values, orderly, w)
+        return spot_check(values, w)
 
     monkeypatch.setattr("coinsystems.search._scan_from", scan)
     monkeypatch.setattr("coinsystems.search._spot_check", spot)
@@ -586,9 +610,9 @@ def test_conjecture_scan_scans_no_rejected_leaf(monkeypatch):
     scan_from = search._scan_from
     scanned = []
 
-    def scan(values, grd, start):
+    def scan(values, grd):
         scanned.append(values)
-        return scan_from(values, grd, start)
+        return scan_from(values, grd)
 
     monkeypatch.setattr("coinsystems.search._scan_from", scan)
     findings = conjecture_scan([5, 6, 7, 8], max_cn)
@@ -619,9 +643,9 @@ def test_conjecture_scan_defers_a_rejected_node_until_a_child_needs_it(monkeypat
     scan_from, lemma = search._scan_from, search._pair_counterexample
     scanned, visited = [], set()
 
-    def scan(values, grd, start):
+    def scan(values, grd):
         scanned.append(values)
-        return scan_from(values, grd, start)
+        return scan_from(values, grd)
 
     def pair(bits, y, c):
         visited.add(tuple(x for x in range(y + 1) if bits >> x & 1) + (c,))
@@ -666,10 +690,9 @@ def test_conjecture_scan_stops_at_w_when_a_leaf_triggers_the_scan(monkeypatch):
     scan_from = search._scan_from
     scanned = []
 
-    def scan(values, grd, start):
-        assert start <= len(grd), values
+    def scan(values, grd):
         scanned.append(values)
-        return scan_from(values, grd, start)
+        return scan_from(values, grd)
 
     monkeypatch.setattr("coinsystems.search._scan_from", scan)
     assert conjecture_scan([10], 23) == []
@@ -683,9 +706,9 @@ def test_conjecture_scan_work_at_the_benchmark_bound(monkeypatch):
     scan_from, lemma, leaves = search._scan_from, search._pair_counterexample, search._orderly_leaves
     calls = Counter()
 
-    def scan(values, grd, start):
+    def scan(values, grd):
         calls["scan"] += 1
-        return scan_from(values, grd, start)
+        return scan_from(values, grd)
 
     def pair(bits, y, c):
         calls["lemma"] += 1
