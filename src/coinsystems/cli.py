@@ -13,8 +13,8 @@ fixed header under --csv.  Standard error gets usage errors, internal
 disagreements and, under --csv, the conjecture summary; no progress is
 reported.
 Exit codes: 0 success, 1 conjecture violation, 2 usage error (including a
-request beyond a resource limit: the DP table cap, or the recursion depth of
-a sweep), 3 internal disagreement between two verdict routes.
+request past the DP table cap), 3 internal disagreement between two verdict
+routes.
 """
 
 from __future__ import annotations
@@ -140,13 +140,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
         oracle_w = min_counterexample_oracle(system)
         orderly = oracle_w is None
         if not args.oracle and _candidate_verdict(system.values) != orderly:
-            print(
-                f"internal disagreement: candidate test says "
-                f"{'not orderly' if orderly else 'orderly'}, oracle says "
-                f"{'orderly' if orderly else f'counterexample {oracle_w}'}",
-                file=sys.stderr,
+            raise InternalDisagreementError(
+                f"candidate test says {'not orderly' if orderly else 'orderly'}, oracle says "
+                f"{'orderly' if orderly else f'counterexample {oracle_w}'}"
             )
-            return EXIT_DISAGREEMENT
         witness = None if orderly else _witness(system, oracle_w)
 
     record["orderly"] = orderly
@@ -203,12 +200,9 @@ def _cmd_family(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     marks = pattern(system).marks
     if marks != _target_marks(len(system)):
-        print(
-            f"internal disagreement: generated {system} has pattern {marks}, "
-            "expected (+++-...-+)",
-            file=sys.stderr,
+        raise InternalDisagreementError(
+            f"generated {system} has pattern {marks}, expected (+++-...-+)"
         )
-        return EXIT_DISAGREEMENT
     _Writer(args.csv, _COLUMNS).write(_target_record(system, params))
     return EXIT_OK
 
@@ -300,7 +294,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_conj.add_argument("--max", type=int, required=True, help="largest allowed coin")
     p_conj.add_argument("--jobs", type=int, default=1)
-    p_conj.add_argument("--sample", type=float, default=0.01, help="oracle spot-check rate")
+    p_conj.add_argument(
+        "--sample", type=float, default=0.01,
+        help="oracle spot-check rate over the 3- and 4-prefixes only",
+    )
     add_output_flags(p_conj)
     p_conj.set_defaults(func=_cmd_conjecture)
 

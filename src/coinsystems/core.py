@@ -24,8 +24,7 @@ DEFAULT_VALUE_CAP = 10**7
 
 
 class ResourceLimitError(RuntimeError):
-    """A query would exceed a resource limit: the DP table cap, or the
-    recursion depth that a prefix-tree walk of long systems needs."""
+    """A query or a sweep could need a DP table past DEFAULT_VALUE_CAP."""
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,10 @@
 agreement sweep.
 
 Each sweep covers the systems (1, c2, ..., cn) with coins drawn from
-2..max_cn, walked in lexicographic order as a prefix tree with one partition
-per c2.  Under jobs > 1 the partitions run in worker processes, no more than
-there are partitions or cores, and merge in order.
+2..max_cn, walked depth first on an explicit stack as a prefix tree with one
+partition per c2; the order of the walk changes no finding or count.  Under
+jobs > 1 the partitions run in worker processes, no more than there are
+partitions or cores, and merge in order.
 
 The census takes each verdict from the parent's oracle table, the scan's one
 table of greedy counts: over the whole window of an orderly node, up to the
@@ -43,7 +44,6 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import sys
 from collections import Counter
 from dataclasses import dataclass
 from math import comb
@@ -51,7 +51,7 @@ from typing import Iterable
 
 from .canonicality import InternalDisagreementError, _candidate_step, _min_counterexample
 from .canonicality import _one_point, _pair_counterexample, _scan_from
-from .core import CoinSystem, ResourceLimitError, _greedy_count, _opt_table
+from .core import CoinSystem, _check_cap, _greedy_count, _opt_table
 from .families import FamilyParams, _target_marks, family_membership
 
 
@@ -148,10 +148,14 @@ def _census_partition(args: tuple[int, int, int, int]) -> dict[str, int]:
             if count:
                 counts[marks + mark] = counts.get(marks + mark, 0) + count
 
-    def rec(values, marks, w, grd, h, bits) -> None:
+    stack = [((1, c2), "++", None, [0], _fingerprint((1, c2)), 2 | 1 << c2)]
+    if n == 3:
+        settle(*stack.pop())
+    while stack:
         # w is None when values is orderly; otherwise it is the minimal
         # counterexample, above every coin (each is at most its parent's w),
         # and grd reaches it.  bits has bit x set for each coin x.
+        values, marks, w, grd, h, bits = stack.pop()
         remaining = n - len(values) - 1
         top = max_cn - remaining
         p = values[-1]
@@ -168,7 +172,7 @@ def _census_partition(args: tuple[int, int, int, int]) -> dict[str, int]:
                 _spot_check(child, cw)
             cmarks = marks + ("+" if cw is None else "-")
             if remaining > 1:
-                rec(child, cmarks, cw, cgrd, ch, bits | 1 << c)
+                stack.append((child, cmarks, cw, cgrd, ch, bits | 1 << c))
             elif cw is not None and 2 * c - p > min(cw, max_cn):  # no survivor leaf to try
                 counts[cmarks + "-"] = counts.get(cmarks + "-", 0) + max_cn - c
             else:
@@ -178,27 +182,17 @@ def _census_partition(args: tuple[int, int, int, int]) -> dict[str, int]:
             # '-', one per choice of the remaining + 1 coins from w + 1 up
             tail = marks + "-" * (remaining + 1)
             counts[tail] = counts.get(tail, 0) + comb(max_cn - w, remaining + 1)
-
-    (settle if n == 3 else rec)((1, c2), "++", None, [0], _fingerprint((1, c2)), 2 | 1 << c2)
     return counts
 
 
-_SPARE_FRAMES = 100  # of the recursion limit, left to a walk's callers and the oracle
-
-
-def _check_depth(n: int) -> None:
-    """Refuse a census or a scan of n values, whose walk nests a frame per coin."""
-    most = sys.getrecursionlimit() - _SPARE_FRAMES
-    if n > most:
-        raise ResourceLimitError(f"{n} values exceed the {most} that the walk's recursion allows")
-
-
 def _check_bounds(n: int, max_cn: int) -> None:
-    """The census and the agreement sweep take n >= 3 values up to max_cn."""
+    """The census and the agreement sweep take n >= 3 values up to max_cn,
+    and no table past the widest window c(n-1) + cn - 1."""
     if n < 3:
         raise ValueError("need n >= 3")
     if max_cn < n:
         raise ValueError("max_cn must be at least n, otherwise no systems exist")
+    _check_cap(2 * max_cn - 2)
 
 
 def pattern_census(
@@ -208,7 +202,6 @@ def pattern_census(
     pattern, identically for any job count: partitions are split by c2 and
     merged in order."""
     _check_bounds(n, max_cn)
-    _check_depth(n)
     mod = _sample_modulus(sample_rate)
     args = [(n, max_cn, c2, mod) for c2 in range(2, max_cn - n + 3)]
     partials = _run_partitions(_census_partition, args, jobs)
@@ -277,45 +270,50 @@ def _scan_partition(
             if cw is None and depth == 3:
                 head(child, bits | 1 << c, ch)
             elif cw is not None and depth == 4:
+                # one subtree at a time: only its pending nodes hold tables
                 cgrd = [0]
-                rec(child, bits | 1 << c, _scan_from(child, cgrd), cgrd)
+                walk([(child, bits | 1 << c, _scan_from(child, cgrd), cgrd, True)])
 
-    def rec(values, bits, w, grd, scanned=True) -> None:
-        # values is not orderly; bits, w, grd and scanned are as in
-        # _orderly_leaves.  A child above w keeps it, so the children stop at w.
-        depth = len(values) + 1
-        leaf_from = top[depth + 1]
-        p = values[-1]
-        if p + 1 < leaf_from:
-            if not scanned:
-                # an interior child reads the table, so scan before the first
-                grd = grd[:p]
-                w, scanned = _scan_from(values, grd), True
-            # a child from lo - 1 up has only leaf children
-            lo = top[depth + 2]
-            for c in range(p + 1, (w if w < leaf_from else leaf_from - 1) + 1):
-                child = values + (c,)
-                cgrd, cw = grd, _pair_counterexample(bits, p, c)
-                if cw is None:
-                    cgrd = grd[:c]
-                    cw = _scan_from(child, cgrd)
+    def walk(stack) -> None:
+        while stack:
+            # values is not orderly; bits, w, grd and scanned are as in
+            # _orderly_leaves.  A child above w keeps it, so the children stop at w.
+            values, bits, w, grd, scanned = stack.pop()
+            depth = len(values) + 1
+            leaf_from = top[depth + 1]
+            p = values[-1]
+            if p + 1 < leaf_from:
+                if not scanned:
+                    # an interior child reads the table, so scan before the first
+                    grd = grd[:p]
+                    w, scanned = _scan_from(values, grd), True
+                # a child from lo - 1 up has only leaf children
+                lo = top[depth + 2]
+                for c in range(p + 1, (w if w < leaf_from else leaf_from - 1) + 1):
+                    child = values + (c,)
+                    cgrd, cw = grd, _pair_counterexample(bits, p, c)
                     if cw is None:
-                        if depth in found:
-                            found[depth].append(child)
-                        continue
-                if c + 1 < lo:
-                    rec(child, bits | 1 << c, cw, cgrd, cgrd is not grd)
-                elif 2 * c - p <= (cw if cw < leaf_from else leaf_from):  # a survivor leaf
-                    found[depth + 1] += _orderly_leaves(
-                        child, bits | 1 << c, cw, cgrd, cgrd is not grd, lo, leaf_from, 0, 0
-                    )
-        if depth in found and leaf_from <= w and leaf_from < 2 * p:  # a survivor may lie in range
-            found[depth] += _orderly_leaves(
-                values, bits, w, grd, scanned, leaf_from, top[depth], 0, 0
-            )
+                        cgrd = grd[:c]
+                        cw = _scan_from(child, cgrd)
+                        if cw is None:
+                            if depth in found:
+                                found[depth].append(child)
+                            continue
+                    if c + 1 < lo:
+                        stack.append((child, bits | 1 << c, cw, cgrd, cgrd is not grd))
+                    elif 2 * c - p <= (cw if cw < leaf_from else leaf_from):  # a survivor leaf
+                        found[depth + 1] += _orderly_leaves(
+                            child, bits | 1 << c, cw, cgrd, cgrd is not grd, lo, leaf_from, 0, 0
+                        )
+            # a survivor may lie in range
+            if depth in found and leaf_from <= w and leaf_from < 2 * p:
+                found[depth] += _orderly_leaves(
+                    values, bits, w, grd, scanned, leaf_from, top[depth], 0, 0
+                )
 
     head((1, c2), 2 | 1 << c2, _fingerprint((1, c2)))
-    return found
+    # the walk pops nodes out of lexicographic order
+    return {n: sorted(found[n]) for n in found}
 
 
 def _oracle_marks(values: tuple[int, ...]) -> str:
@@ -344,7 +342,7 @@ def conjecture_scan(
     walked = tuple(sorted({n for n in lengths if n <= max_cn}))
     if not walked:
         return []
-    _check_depth(walked[-1])
+    _check_cap(2 * max_cn - 2)
     args = [(walked, max_cn, c2, mod) for c2 in range(2, max_cn - walked[0] + 3)]
     partials = _run_partitions(_scan_partition, args, jobs)
     findings: list[ConjectureFinding] = []

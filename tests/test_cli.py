@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from types import SimpleNamespace
 
 import pytest
 
@@ -308,6 +309,30 @@ def test_internal_disagreement_exits_three(capsys, monkeypatch):
     assert "internal disagreement" in captured.err
 
 
+@pytest.mark.parametrize(
+    "target, fake, argv, err",
+    [
+        (
+            "min_counterexample_oracle", lambda system: 99, ["check", "1,2"],
+            "candidate test says orderly, oracle says counterexample 99",
+        ),
+        (
+            "pattern", lambda system: SimpleNamespace(marks="+" * len(system)),
+            ["family", "D", "--r", "1", "--a", "2"],
+            "generated (1,2,4,5,8) has pattern +++++, expected (+++-...-+)",
+        ),
+    ],
+)
+def test_subcommand_disagreement_is_one_line(capsys, monkeypatch, target, fake, argv, err):
+    """check's two routes and family's generated pattern report a
+    disagreement through the one exit-3 path: one line, no record."""
+    monkeypatch.setattr(f"coinsystems.cli.{target}", fake)
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"internal disagreement: {err}\n"
+
+
 def test_witness_disagreement_exits_three(capsys, monkeypatch):
     """The candidate test rejects 1,3,4 at 6; an optimal form no better than
     greedy there is a disagreement, reported without a traceback."""
@@ -329,13 +354,13 @@ def test_witness_disagreement_exits_three(capsys, monkeypatch):
     [
         ["check", "1,3,4,100000000"],
         ["check", "--oracle", "1,2,100000000"],
-        ["enumerate", "--n", "988", "--max", "988"],
-        ["conjecture", "--n", "1100", "--max", "1101"],
+        ["enumerate", "--n", "3", "--max", "5000002"],
+        ["conjecture", "--n", "5", "--max", "5000002"],
     ],
 )
 def test_resource_limit_is_a_usage_error(capsys, argv):
-    """A window beyond the DP table cap, or a sweep of systems too long for
-    the walk's recursion, exits 2 with one line, no traceback."""
+    """A window beyond the DP table cap, of one system or of the widest in a
+    sweep, exits 2 with one line, no traceback."""
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

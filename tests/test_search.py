@@ -725,17 +725,34 @@ def test_conjecture_scan_work_at_the_benchmark_bound(monkeypatch):
     assert calls == {"scan": 31_689, "lemma": 209_365, "settle": 70_130}
 
 
-def test_the_walks_refuse_systems_too_long_for_their_recursion():
-    """The census and the scan nest one frame per coin.  The longest systems
-    that the recursion limit allows are walked in process, under the test
-    runner's frames and in worker processes; one value more is refused before
-    any walk starts."""
-    most = sys.getrecursionlimit() - search._SPARE_FRAMES
-    assert conjecture_scan([most], most + 1, jobs=2) == []
+def test_the_walks_need_no_frame_per_coin():
+    """The census and the scan walk the prefix tree on explicit stacks, so
+    systems of 300 values are walked under a recursion limit of only 60
+    frames above the caller's, in process and in worker processes."""
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 60)
+    try:
+        assert conjecture_scan([300], 301, jobs=2) == []
+        assert pattern_census(300, 300, sample_rate=0) == {"+" * 300: 1}
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_the_sweeps_refuse_a_window_past_the_table_cap(monkeypatch):
+    """A sweep with coins up to max_cn may scan the window c(n-1) + cn - 1 up
+    to 2 max_cn - 2; past the DP table cap every sweep is refused before any
+    walk starts, and up to it the census runs."""
+    monkeypatch.setattr("coinsystems.core.DEFAULT_VALUE_CAP", 100)
     with pytest.raises(ResourceLimitError):
-        conjecture_scan([5, most + 1], most + 2)
+        pattern_census(3, 52)
     with pytest.raises(ResourceLimitError):
-        pattern_census(most + 1, most + 1)
+        agreement_sweep(3, 52)
+    with pytest.raises(ResourceLimitError):
+        conjecture_scan([5], 52)
+    assert sum(pattern_census(3, 51).values()) == comb(50, 2)
 
 
 def test_conjecture_scan_lengths_are_deterministic_across_jobs():
