@@ -7,11 +7,12 @@ equal optimal ones below the first counterexample; that lies below c(n-1)+cn
 amounts to check, past its first _LOOP amounts, is compared a block at a
 time over table slices: each comparison reads only amounts below the
 largest coin in play, all already tabulated, so a block needs none of its
-own entries.  The stretch's length alone picks the path.  The fast test
-instead derives a small candidate set from greedy representations of ck-1:
-the minimal counterexample of a non-orderly system always appears among the
-candidates, so checking only those decides the verdict in O(n^3) coin
-operations.
+own entries.  The stretch's length alone picks the path.  A one-shot scan,
+whose table nobody resumes, builds only the entries its checks read.  The
+fast test instead derives a small candidate set from greedy representations
+of ck-1: the minimal counterexample of a non-orderly system always appears
+among the candidates, so checking only those decides the verdict in O(n^3)
+coin operations.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import partial
-from itertools import compress
+from itertools import compress, repeat
 from operator import lt
 
 from .core import (
@@ -52,7 +53,7 @@ _CHUNK = 1 << 14  # amounts appended per list built where no amount can fail
 _LOOP = 64
 
 
-def _scan_from(values: tuple[int, ...], grd: list[int]) -> int | None:
+def _scan_from(values: tuple[int, ...], grd: list[int], *, keep: bool = True) -> int | None:
     """Resume the oracle scan of values where grd ends; the first counterexample.
 
     grd holds greedy counts of values from amount 0 up, none failing: [0], or
@@ -72,16 +73,25 @@ def _scan_from(values: tuple[int, ...], grd: list[int]) -> int | None:
     above the block's first offset, in descending order, the first m below d
     with grd[p-d+m] < grd[m] is found over table slices (searched for only
     when any m fails), and the smallest such m over all coins is the first
-    failure.  Which path runs depends only on the region's length.
+    failure.  Which path runs depends only on the region's length.  The
+    amounts below c2 are paid in ones, so they are appended as u itself.
+
+    keep=False says the caller discards grd, and the scan then builds only
+    what its checks read.  The top coin's checks read grd below c(n-1) and
+    from cn-c(n-1) to cn: its blocks append nothing, and the fill under cn
+    builds only that last stretch, as u // c(n-1) + grd[u mod c(n-1)], over
+    a placeholder.  Entries the scan never reads are unspecified.
     """
     hi = values[-2] + values[-1]
+    if len(grd) < values[1]:
+        grd += range(len(grd), values[1])
     v = len(grd)
     k = bisect_right(values, v) - 1
     while True:
         p = values[k]
         end = values[k + 1] if k + 1 < len(values) else hi
         below = values[k - 1 : 0 : -1]
-        top = min(p + (values[k - 1] if k else 0), end)
+        top = min(p + values[k - 1], end)
         long = top - v > _LOOP
         for v in range(v, v + _LOOP if long else top):
             m = v - p
@@ -104,17 +114,23 @@ def _scan_from(values: tuple[int, ...], grd: list[int]) -> int | None:
                     shifted = grd[p - d + m0 : p - d + lim]
                     if any(map(lt, shifted, block)):
                         hit = next(compress(range(m0, lim), map(lt, shifted, block)))
-                grd += [g + 1 for g in block[: hit + 1 - m0]]
+                if keep or end < hi:
+                    grd += [g + 1 for g in block[: hit + 1 - m0]]
                 if hit < m1:
                     return p + hit
                 m0, size = m1, min(2 * size, _CHUNK)
+        if end == hi:
+            return None
+        if not keep and end == values[-1] and len(grd) < end - p:
+            # the top coin's checks read only grd[:p] and grd[end - p : end]
+            q, r = divmod(end - p, p)
+            grd.extend(repeat(0, end - p - len(grd)))
+            grd += [x + q for x in grd[r:p]] + [x + q + 1 for x in grd[:r]]
         while len(grd) < end:
             # greedy on u < end spends u // p coins of p, so u copies u - t*p plus t
             t = max(1, min(len(grd), _CHUNK) // p)
             s = len(grd) - t * p
             grd += [x + t for x in grd[s : min(s + _CHUNK, end - t * p)]]
-        if end == hi:
-            return None
         v = end
         k += 1
 
@@ -124,12 +140,13 @@ def _min_counterexample(values: tuple[int, ...]) -> int | None:
 
     Scans from amount 1 over the window below c(n-1)+cn, which holds the
     minimal counterexample of every non-orderly system; the cap bounds that
-    window.  The sweeps resume _scan_from from a parent's table instead.
+    window.  The table is thrown away, so only what the checks read is
+    built; the sweeps resume _scan_from from a parent's full table instead.
     """
     if len(values) <= 2:
         return None
     _check_cap(values[-2] + values[-1] - 1)
-    return _scan_from(values, [0])
+    return _scan_from(values, [0], keep=False)
 
 
 def min_counterexample_oracle(system: CoinSystem) -> int | None:

@@ -26,7 +26,7 @@ import json
 import sys
 from typing import Sequence
 
-from .canonicality import _candidate_verdict, _witness, is_orderly, min_counterexample_oracle
+from .canonicality import _failing_candidates, _witness, is_orderly, min_counterexample_oracle
 from .characterize import classify6, orderly3, orderly4, orderly5, pattern
 from .core import CoinSystem, Representation, ResourceLimitError
 from .families import FamilyParams, _target_marks
@@ -139,10 +139,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
     else:
         oracle_w = min_counterexample_oracle(system)
         orderly = oracle_w is None
-        if not args.oracle and _candidate_verdict(system.values) != orderly:
+        candidate_w = oracle_w if args.oracle else _failing_candidates(system.values)[-1]
+        if candidate_w != oracle_w:
+            said = [f"counterexample {w}" if w else "orderly" for w in (candidate_w, oracle_w)]
             raise InternalDisagreementError(
-                f"candidate test says {'not orderly' if orderly else 'orderly'}, oracle says "
-                f"{'orderly' if orderly else f'counterexample {oracle_w}'}"
+                f"candidate test says {said[0]}, oracle says {said[1]}"
             )
         witness = None if orderly else _witness(system, oracle_w)
 

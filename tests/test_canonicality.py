@@ -18,6 +18,7 @@ from coinsystems import (
     pattern,
 )
 from coinsystems.canonicality import (
+    _LOOP,
     _candidate_step,
     _candidate_verdict,
     _failing_candidates,
@@ -88,7 +89,9 @@ def test_scan_matches_reference_exhaustively(loop, monkeypatch):
     greedy counts up to w, or over the whole window when orderly.  Up to
     cn <= 18, every cut of the system's own table resumes to the same w and
     table too.  With one amount checked one by one, every longer check
-    region goes through the blocks."""
+    region goes through the blocks.  The one-shot scan finds the same w,
+    and where it reaches the top coin its table holds greedy counts below
+    c(n-1) and from cn - c(n-1) to cn, all that the top coin's checks read."""
     if loop:
         monkeypatch.setattr("coinsystems.canonicality._LOOP", loop)
     tables = {}
@@ -100,6 +103,11 @@ def test_scan_matches_reference_exhaustively(loop, monkeypatch):
             assert _scan_from(values, grd) == w, values
             stop = values[-2] + values[-1] if w is None else w + 1
             assert grd == [ref_greedy_count(values, u) for u in range(stop)], values
+            one = [0]
+            assert _scan_from(values, one, keep=False) == w == _min_counterexample(values)
+            t, c = values[-2:]
+            if w is None or w > c:
+                assert one[:t] + one[c - t : c] == grd[:t] + grd[c - t : c], values
             if values[-1] <= 18:
                 for cut in range(1, len(grd)):
                     cgrd = grd[:cut]
@@ -133,13 +141,21 @@ def test_scan_matches_reference_exhaustively(loop, monkeypatch):
         (1, 600, 900),
         (1, 200, 273),
         (1, 300, 600, 900, 1200, 1500),
+        # top coin above 2c(n-1) + c(n-2), so a one-shot scan leaves a
+        # placeholder under cn - c(n-1): first failures in the top coin's
+        # blocks at 500 + 100 and 700 + 100, and an orderly system
+        (1, 200, 500),
+        (1, 3, 200, 700),
+        (1, 200, 800),
     ],
 )
 def test_scan_fills_wide_gaps(values, chunk, monkeypatch):
     """Amounts past p plus the coin below p are filled, not checked, in
     chunks of any size; the scan still finds the first amount where greedy
     beats the full DP.  A block of a long check region tries only the coins
-    that can still lower its first failure, each over at least one offset."""
+    that can still lower its first failure, each over at least one offset.
+    The one-shot scan finds the same amount, and the top coin's blocks
+    append nothing to its table."""
     if chunk:
         monkeypatch.setattr("coinsystems.canonicality._CHUNK", chunk)
 
@@ -156,6 +172,9 @@ def test_scan_fills_wide_gaps(values, chunk, monkeypatch):
     grd = [0]
     assert _scan_from(values, grd) == w
     assert grd == greedy[: hi if w is None else w + 1]
+    one = [0]
+    assert _scan_from(values, one, keep=False) == w == _min_counterexample(values)
+    assert len(one) <= values[-1] + _LOOP
 
 
 def test_oracle_near_the_cap_tabulates_only_what_it_scans():
@@ -170,8 +189,9 @@ def test_oracle_near_the_cap_tabulates_only_what_it_scans():
 
 
 def test_oracle_memory_per_scanned_amount():
-    """An orderly scan keeps one table: about 40 bytes per amount, a list
-    slot and an int object."""
+    """An orderly scan keeps one table.  A table built for resuming costs
+    about 40 bytes per amount, a list slot and an int object; the one-shot
+    scan here builds less."""
     system = CoinSystem((1, 2, 999_999))
     tracemalloc.start()
     try:
@@ -180,6 +200,20 @@ def test_oracle_memory_per_scanned_amount():
     finally:
         tracemalloc.stop()
     assert peak < 48 * (2 + 999_999)
+
+
+def test_one_shot_oracle_builds_only_what_it_reads():
+    """(1, 2, 999999) checks only the amounts from 999999 up, which read the
+    table below 2 and from 999997: the stretch under them is a placeholder
+    of one shared int, a list slot per amount, not a slot and an int."""
+    system = CoinSystem((1, 2, 999_999))
+    tracemalloc.start()
+    try:
+        assert min_counterexample_oracle(system) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * (2 + 999_999)
 
 
 # ---------- candidate amounts ----------

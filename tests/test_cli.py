@@ -90,7 +90,8 @@ def test_check_oracle_never_runs_the_candidate_test(capsys, monkeypatch):
         raise AssertionError("candidate test called")
 
     monkeypatch.setattr("coinsystems.canonicality._candidate_verdict", boom)
-    monkeypatch.setattr("coinsystems.cli._candidate_verdict", boom)
+    monkeypatch.setattr("coinsystems.canonicality._failing_candidates", boom)
+    monkeypatch.setattr("coinsystems.cli._failing_candidates", boom)
     assert run_json(capsys, ["check", "--oracle", "1,5,15,20"]) == (0, expected)
 
 
@@ -321,11 +322,16 @@ def test_internal_disagreement_exits_three(capsys, monkeypatch):
             ["family", "D", "--r", "1", "--a", "2"],
             "generated (1,2,4,5,8) has pattern +++++, expected (+++-...-+)",
         ),
+        (
+            "_failing_candidates", lambda values: [None, None, 7], ["check", "1,3,4"],
+            "candidate test says counterexample 7, oracle says counterexample 6",
+        ),
     ],
 )
 def test_subcommand_disagreement_is_one_line(capsys, monkeypatch, target, fake, argv, err):
     """check's two routes and family's generated pattern report a
-    disagreement through the one exit-3 path: one line, no record."""
+    disagreement through the one exit-3 path: one line, no record.  check
+    compares the routes' minimal counterexamples, not only their verdicts."""
     monkeypatch.setattr(f"coinsystems.cli.{target}", fake)
     assert main(argv) == 3
     captured = capsys.readouterr()
