@@ -284,7 +284,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--n", type=int, required=True, help="number of coin values")
     p_enum.add_argument("--max", type=int, required=True, help="largest allowed coin")
     p_enum.add_argument("--jobs", type=int, default=1)
-    p_enum.add_argument("--sample", type=float, default=0.01, help="oracle spot-check rate")
+    p_enum.add_argument("--sample", type=float, default=0.01, help="share of verdicts spot-checked")
     add_output_flags(p_enum)
     p_enum.set_defaults(func=_cmd_enumerate)
 
@@ -297,7 +297,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_conj.add_argument("--jobs", type=int, default=1)
     p_conj.add_argument(
         "--sample", type=float, default=0.01,
-        help="oracle spot-check rate over the 3- and 4-prefixes only",
+        help="share of verdicts spot-checked, over the 3- and 4-prefixes only",
     )
     add_output_flags(p_conj)
     p_conj.set_defaults(func=_cmd_conjecture)

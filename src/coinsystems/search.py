@@ -16,8 +16,9 @@ two-coin-sum lemma (canonicality._pair_counterexample) before any scan, and
 _orderly_leaves settles its leaves.  Under a non-orderly node the walk stops
 at w: a prefix under a larger coin keeps w (no amount below the new coin can
 use it), so the leaves of those subtrees are all '-' and are counted, not
-walked.  A deterministic sample of the verdicts computed, orderly where its
-failing amount is None, is re-checked from scratch.
+walked.  A deterministic sample of the verdicts computed is spot-checked:
+an orderly one by the oracle from amount 1, a failing amount by greedy
+counts alone (_spot_check).
 
 The conjecture scan looks for systems whose pattern is (+++-...-+).  A
 pattern is a property of the chain of prefixes, so one walk of each c2
@@ -51,7 +52,7 @@ from typing import Iterable
 
 from .canonicality import InternalDisagreementError, _candidate_step, _min_counterexample
 from .canonicality import _one_point, _pair_counterexample, _scan_from
-from .core import CoinSystem, _check_cap, _greedy_count, _opt_table
+from .core import CoinSystem, _check_cap, _greedy_count
 from .families import FamilyParams, _target_marks, family_membership
 
 
@@ -73,12 +74,26 @@ def _extend_verdict(child: tuple[int, ...]) -> int | None:
 
 
 def _spot_check(values: tuple[int, ...], w: int | None) -> None:
-    if (_min_counterexample(values) is None) != (w is None):
-        raise InternalDisagreementError(
-            f"sweep verdict {'orderly' if w is None else 'not orderly'} "
-            f"disagrees with the oracle on {values}"
-        )
-    if w is not None and _greedy_count(values, w) <= _opt_table(values, w)[w]:
+    """Check a sweep verdict: orderly against the oracle, and a failing
+    amount w by a coin d <= w with greedy(w - d) + 1 < greedy(w), which
+    proves w fails as opt(w) <= opt(w - d) + 1 <= greedy(w - d) + 1.
+
+    Every w a sweep computes has such a d.  At a minimal counterexample, d
+    is a coin of an optimal form of w, and greedy is optimal on w - d < w.
+    At the two-coin-sum lemma's x + y, d = x, as greedy(y) = 1; the sweeps
+    take y = c(n-1), so d = c(n-1) serves too.  At the one-point amount
+    m*c(n-1) of _extend_verdict, d = c(n-1): greedy pays (m - 1)*c(n-1) < cn
+    with m - 1 coins, and m*c(n-1) with more than m.  So coins are tried
+    from the top down.
+    """
+    if w is None:
+        if _min_counterexample(values) is not None:
+            raise InternalDisagreementError(
+                f"sweep verdict orderly disagrees with the oracle on {values}"
+            )
+        return
+    g = _greedy_count(values, w) - 1
+    if not any(_greedy_count(values, w - d) < g for d in reversed(values) if d <= w):
         raise InternalDisagreementError(f"sweep witness {w} is not a counterexample of {values}")
 
 

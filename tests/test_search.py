@@ -215,6 +215,62 @@ def test_pattern_census_spot_checks_catch_a_planted_wrong_verdict(capsys, monkey
     assert ("witness 5" in captured.err) == (planted == 5)
 
 
+def test_spot_check_certifies_exactly_the_failing_amounts_exhaustively():
+    """_spot_check on every system of 3 to 5 values with cn <= 16, against
+    brute force.  It accepts every amount a sweep computes (the minimal
+    counterexample, the two-coin-sum lemma's amount, and the one-point
+    amount under an orderly prefix), refuses every amount of the window
+    below c(n-1) + cn that greedy pays optimally, and refuses the verdict
+    orderly exactly for the systems that are not orderly."""
+    swept = refused = 0
+    for n in range(3, 6):
+        for combo in combinations(range(2, 17), n - 1):
+            v = (1,) + combo
+            w = ref_min_counterexample(v)
+            amounts = {w, pair_lemma(v, n - 2)}
+            if ref_is_orderly(v[:-1]):
+                amounts.add(search._extend_verdict(v))
+            amounts.discard(None)
+            for a in range(1, v[-2] + v[-1]):
+                if a in amounts:
+                    assert ref_greedy_count(v, a) > ref_opt_count(v, a), (v, a)
+                    search._spot_check(v, a)
+                    swept += 1
+                elif ref_greedy_count(v, a) == ref_opt_count(v, a):
+                    with pytest.raises(InternalDisagreementError, match=f"witness {a} "):
+                        search._spot_check(v, a)
+                    refused += 1
+            if w is None:
+                search._spot_check(v, None)
+            else:
+                with pytest.raises(InternalDisagreementError, match="orderly disagrees"):
+                    search._spot_check(v, None)
+    assert swept and refused
+
+
+def test_pattern_census_runs_the_oracle_only_on_orderly_verdicts(monkeypatch):
+    """At sample rate 1 the census spot-checks every verdict it computes, and
+    it runs the oracle once for each orderly one and for no other: a failing
+    amount is certified by greedy counts alone."""
+    spot_check, min_counterexample = search._spot_check, search._min_counterexample
+    spotted, oracle = [], []
+
+    def spot(values, w):
+        spotted.append((values, w))
+        return spot_check(values, w)
+
+    def scan(values):
+        oracle.append(values)
+        return min_counterexample(values)
+
+    monkeypatch.setattr("coinsystems.search._spot_check", spot)
+    monkeypatch.setattr("coinsystems.search._min_counterexample", scan)
+    pattern_census(6, 16, sample_rate=1.0)
+    orderly = [values for values, w in spotted if w is None]
+    assert orderly and len(orderly) < len(spotted)
+    assert oracle == orderly
+
+
 def test_pattern_census_leaves_take_the_lemma_amount(monkeypatch):
     """Under a non-orderly parent, every leaf the census computes a verdict
     for is marked by the two-coin-sum lemma's amount when there is one, with
