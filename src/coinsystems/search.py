@@ -28,11 +28,11 @@ is requested, and an orderly node at a requested length is a finding.  Each
 non-orderly 4-prefix is scanned once and the walk resumes below it as the
 census does.  Inside a subtree where every added coin exceeds the inherited
 w, all leaves stay non-orderly, so no finding can appear and the subtree is
-skipped.  A node with children that the two-coin-sum lemma rejects is proved
-not orderly, so it is no finding, and is descended unscanned, bounded by the
-lemma's amount, until an interior child needs its table.  The leaves, nodes
-no longer length can grow from, are settled by _orderly_leaves as in the
-census.  Every emitted finding is re-verified per prefix by the oracle.
+skipped.  As in the census, only a node whose children are all leaves takes
+the two-coin-sum lemma before its scan, and _orderly_leaves settles those
+leaves, nodes no longer length can grow from; every other node is scanned
+when its parent reaches it.  Every emitted finding is re-verified per prefix
+by the oracle.
 
 The agreement sweep iterates _oracle_walk, which yields each prefix in
 preorder with its first failure w (a child inherits w under a larger coin,
@@ -269,8 +269,9 @@ def _scan_partition(
     lengths, max_cn, c2, sample_mod = args
     # top[d], the largest coin at depth d, leaves room for the shortest
     # requested length >= d; a child at depth d from top[d + 1] up leaves no
-    # room for a longer length, so it is a leaf (past the deepest length, 0)
-    top = [max_cn - min(n for n in lengths if n >= d) + d for d in range(lengths[-1] + 1)] + [0]
+    # room for a longer length, so it is a leaf (past the deepest length, 0,
+    # twice over, as walk reads top[depth + 2] for every node)
+    top = [max_cn - min(n for n in lengths if n >= d) + d for d in range(lengths[-1] + 1)] + [0, 0]
     found: dict[int, list[tuple[int, ...]]] = {n: [] for n in lengths}
 
     def head(values, bits, h) -> None:
@@ -287,43 +288,38 @@ def _scan_partition(
             elif cw is not None and depth == 4:
                 # one subtree at a time: only its pending nodes hold tables
                 cgrd = [0]
-                walk([(child, bits | 1 << c, _scan_from(child, cgrd), cgrd, True)])
+                walk([(child, bits | 1 << c, _scan_from(child, cgrd), cgrd)])
 
     def walk(stack) -> None:
         while stack:
-            # values is not orderly; bits, w, grd and scanned are as in
-            # _orderly_leaves.  A child above w keeps it, so the children stop at w.
-            values, bits, w, grd, scanned = stack.pop()
+            # values is not orderly, w is its minimal counterexample and grd
+            # reaches it.  A child above w keeps it, so the children stop at w.
+            values, bits, w, grd = stack.pop()
             depth = len(values) + 1
             leaf_from = top[depth + 1]
+            # a child from lo - 1 up has only leaf children; it alone takes the lemma first
+            lo = top[depth + 2]
             p = values[-1]
-            if p + 1 < leaf_from:
-                if not scanned:
-                    # an interior child reads the table, so scan before the first
-                    grd = grd[:p]
-                    w, scanned = _scan_from(values, grd), True
-                # a child from lo - 1 up has only leaf children
-                lo = top[depth + 2]
-                for c in range(p + 1, (w if w < leaf_from else leaf_from - 1) + 1):
-                    child = values + (c,)
-                    cgrd, cw = grd, _pair_counterexample(bits, p, c)
+            for c in range(p + 1, (w if w < leaf_from else leaf_from - 1) + 1):
+                child = values + (c,)
+                cgrd, cw = grd, None if c + 1 < lo else _pair_counterexample(bits, p, c)
+                if cw is None:
+                    cgrd = grd[:c]
+                    cw = _scan_from(child, cgrd)
                     if cw is None:
-                        cgrd = grd[:c]
-                        cw = _scan_from(child, cgrd)
-                        if cw is None:
-                            if depth in found:
-                                found[depth].append(child)
-                            continue
-                    if c + 1 < lo:
-                        stack.append((child, bits | 1 << c, cw, cgrd, cgrd is not grd))
-                    elif 2 * c - p <= (cw if cw < leaf_from else leaf_from):  # a survivor leaf
-                        found[depth + 1] += _orderly_leaves(
-                            child, bits | 1 << c, cw, cgrd, cgrd is not grd, lo, leaf_from, 0, 0
-                        )
+                        if depth in found:
+                            found[depth].append(child)
+                        continue
+                if c + 1 < lo:
+                    stack.append((child, bits | 1 << c, cw, cgrd))
+                elif 2 * c - p <= (cw if cw < leaf_from else leaf_from):  # a survivor leaf
+                    found[depth + 1] += _orderly_leaves(
+                        child, bits | 1 << c, cw, cgrd, cgrd is not grd, lo, leaf_from, 0, 0
+                    )
             # a survivor may lie in range
             if depth in found and leaf_from <= w and leaf_from < 2 * p:
                 found[depth] += _orderly_leaves(
-                    values, bits, w, grd, scanned, leaf_from, top[depth], 0, 0
+                    values, bits, w, grd, True, leaf_from, top[depth], 0, 0
                 )
 
     head((1, c2), 2 | 1 << c2, _fingerprint((1, c2)))
