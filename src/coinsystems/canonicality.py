@@ -7,12 +7,14 @@ equal optimal ones below the first counterexample; that lies below c(n-1)+cn
 amounts to check, past its first _LOOP amounts, is compared a block at a
 time over table slices: each comparison reads only amounts below the
 largest coin in play, all already tabulated, so a block needs none of its
-own entries.  The stretch's length alone picks the path.  A one-shot scan,
-whose table nobody resumes, builds only the entries its checks read.  The
-fast test instead derives a small candidate set from greedy representations
-of ck-1: the minimal counterexample of a non-orderly system always appears
-among the candidates, so checking only those decides the verdict in O(n^3)
-coin operations.
+own entries, and a coin d is compared only where v - d >= c2: below, greedy
+pays v - d in ones, more coins than v - p takes, so d cannot beat greedy.
+The stretch's length alone picks the path.  A one-shot scan, whose table
+nobody resumes, builds only the entries its checks read.  The fast test
+instead derives a small candidate set from greedy representations of ck-1:
+the minimal counterexample of a non-orderly system always appears among the
+candidates, so checking only those decides the verdict in O(n^3) coin
+operations.
 """
 
 from __future__ import annotations
@@ -74,7 +76,10 @@ def _scan_from(values: tuple[int, ...], grd: list[int], *, keep: bool = True) ->
     with grd[p-d+m] < grd[m] is found over table slices (searched for only
     when any m fails), and the smallest such m over all coins is the first
     failure.  Which path runs depends only on the region's length.  The
-    amounts below c2 are paid in ones, so they are appended as u itself.
+    amounts below c2 are paid in ones, so they are appended as u itself, and
+    a block compares a coin d only from m = c2 + d - p, as below it
+    grd[p-d+m] = p-d+m > m >= grd[m]; a coin left with no m is skipped, not
+    the last tried, since a smaller coin starts lower.
 
     keep=False says the caller discards grd, and the scan then builds only
     what its checks read.  The top coin's checks read grd below c(n-1) and
@@ -106,16 +111,18 @@ def _scan_from(values: tuple[int, ...], grd: list[int], *, keep: bool = True) ->
             m0, size = len(grd) - p, _LOOP
             while m0 < top - p:
                 m1 = hit = min(m0 + size, top - p)
-                block = grd[m0:m1]
                 for d in below:
                     lim = min(d, hit)
                     if lim <= m0:
                         break
-                    shifted = grd[p - d + m0 : p - d + lim]
+                    a = max(m0, values[1] + d - p)
+                    if a >= lim:
+                        continue
+                    shifted, block = grd[p - d + a : p - d + lim], grd[a:lim]
                     if any(map(lt, shifted, block)):
-                        hit = next(compress(range(m0, lim), map(lt, shifted, block)))
+                        hit = next(compress(range(a, lim), map(lt, shifted, block)))
                 if keep or end < hi:
-                    grd += [g + 1 for g in block[: hit + 1 - m0]]
+                    grd += [g + 1 for g in grd[m0 : min(hit + 1, m1)]]
                 if hit < m1:
                     return p + hit
                 m0, size = m1, min(2 * size, _CHUNK)

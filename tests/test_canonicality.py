@@ -147,15 +147,24 @@ def test_scan_matches_reference_exhaustively(loop, monkeypatch):
         (1, 200, 500),
         (1, 3, 200, 700),
         (1, 200, 800),
+        # a coin d is compared only from offset c2 + d - p: the first failure
+        # 1068 = 699 + 369 lies exactly on that bound for d = 534, and in the
+        # block of offsets 64-127 of 432's region 357 has no offset left
+        # while 252 fails at 504 = 432 + 72
+        (1, 534, 579, 589, 590, 604, 699),
+        (1, 252, 357, 432),
     ],
 )
 def test_scan_fills_wide_gaps(values, chunk, monkeypatch):
     """Amounts past p plus the coin below p are filled, not checked, in
     chunks of any size; the scan still finds the first amount where greedy
     beats the full DP.  A block of a long check region tries only the coins
-    that can still lower its first failure, each over at least one offset.
-    The one-shot scan finds the same amount, and the top coin's blocks
-    append nothing to its table."""
+    that can still lower its first failure, each over at least one offset,
+    and a coin d only from offset c2 + d - p on: below it p - d + m < c2 is
+    paid in ones, so grd[p-d+m] = p - d + m > m >= grd[m] cannot fail.  A
+    coin with no offset left is skipped while a smaller coin, whose bound is
+    lower, is still tried.  The one-shot scan finds the same amount, and the
+    top coin's blocks append nothing to its table."""
     if chunk:
         monkeypatch.setattr("coinsystems.canonicality._CHUNK", chunk)
 
@@ -175,6 +184,63 @@ def test_scan_fills_wide_gaps(values, chunk, monkeypatch):
     one = [0]
     assert _scan_from(values, one, keep=False) == w == _min_counterexample(values)
     assert len(one) <= values[-1] + _LOOP
+
+
+def test_block_comparisons_start_where_greedy_stops_paying_in_ones(monkeypatch):
+    """The blocks compare a coin d only where v - d >= c2, so the slowest
+    check of the benchmark's queries stream makes a handful of comparisons
+    (292,567 with every coin compared from the block's first offset), and a
+    system with c2 = 3, where the bound never passes a block's first offset,
+    makes as many as without it.  Counts repeat exactly; times do not."""
+    count = 0
+
+    def counting_lt(a, b):
+        nonlocal count
+        count += 1
+        return a < b
+
+    monkeypatch.setattr("coinsystems.canonicality.lt", counting_lt)
+    assert _min_counterexample((1, 53350, 57904, 58860, 58901, 60348, 69817)) == 106_700
+    assert count <= 100
+    count = 0
+    assert _min_counterexample((1, 3, 9, 32, 86, 254, 721, 2290, 8888, 24120, 91179)) is None
+    assert count == 52_092
+
+
+def _dp_first_failure(values):
+    hi = values[-2] + values[-1]
+    opt = _opt_table(values, hi - 1)
+    return next((v for v in range(hi) if ref_greedy_count(values, v) > opt[v]), None)
+
+
+@pytest.mark.property_based
+@given(
+    st.integers(65, 400).flatmap(
+        lambda c2: st.sets(st.integers(c2 + 1, 1400), min_size=1, max_size=4).map(
+            lambda rest: (1, c2, *sorted(rest))
+        )
+    ),
+    st.data(),
+)
+@settings(max_examples=100, deadline=None)
+def test_long_regions_match_the_dp_and_resume(parent, data):
+    """With c2 >= 65 the check regions outlast the amounts tried one by one,
+    so the blocks and their bound c2 + d - p decide.  The full and the
+    one-shot scan find the DP's first failure, and a child resumed from its
+    parent's table cut at its new coin builds the same w and table as a
+    scan from amount 0."""
+    grd = [0]
+    pw = _scan_from(parent, grd)
+    assert pw == _min_counterexample(parent) == _dp_first_failure(parent)
+    cap = 1500 if pw is None else min(pw, 1500)
+    if cap > parent[-1]:
+        child = parent + (data.draw(st.integers(parent[-1] + 1, cap)),)
+        full = [0]
+        w = _scan_from(child, full)
+        assert w == _min_counterexample(child) == _dp_first_failure(child)
+        resumed = grd[: child[-1]]
+        assert _scan_from(child, resumed) == w
+        assert resumed == full
 
 
 def test_oracle_near_the_cap_tabulates_only_what_it_scans():

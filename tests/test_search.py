@@ -678,9 +678,10 @@ def test_conjecture_scan_scans_no_rejected_leaf(monkeypatch):
 
 
 def test_conjecture_scan_matches_a_flat_oracle_loop():
-    """The walk, with its lemma-rejected nodes descended unscanned, finds
-    exactly the systems of five to eight values with cn <= 20 whose oracle
-    marks form the target pattern."""
+    """The walk, whose nodes with only leaf children take the two-coin-sum
+    lemma before a scan and stay unscanned while it rejects them and their
+    leaves, finds exactly the systems of five to eight values with cn <= 20
+    whose oracle marks form the target pattern."""
     expected = [
         (1,) + combo
         for n in (5, 6, 7, 8)
@@ -691,10 +692,11 @@ def test_conjecture_scan_matches_a_flat_oracle_loop():
 
 
 def test_conjecture_scan_defers_a_rejected_node_until_a_child_needs_it(monkeypatch):
-    """A node with children that the two-coin-sum lemma rejects is descended
-    unscanned.  It is scanned exactly when a child up to the lemma's amount
-    needs its table, an interior child or a leaf the lemma passes, and
-    before any of its children is scanned."""
+    """Only a node whose children are all leaves takes the two-coin-sum
+    lemma before a scan; every other node is scanned at once.  A node the
+    lemma rejects is deferred: it is scanned exactly when a leaf up to the
+    lemma's amount passes the lemma and so needs its table, and before any
+    of its leaves is scanned."""
     max_cn = 24
     scan_from, lemma = search._scan_from, search._pair_counterexample
     scanned, visited = [], set()
@@ -715,7 +717,8 @@ def test_conjecture_scan_defers_a_rejected_node_until_a_child_needs_it(monkeypat
     for values, i in order.items():
         first_child_scan.setdefault(values[:-1], i)
 
-    # below length 8 and the bound, every node has children
+    # below length 8 and the bound, every node has children; a deferred one
+    # has only leaves, as it has seven values or its only child is the bound
     deferred = [
         v
         for v in visited
@@ -723,11 +726,9 @@ def test_conjecture_scan_defers_a_rejected_node_until_a_child_needs_it(monkeypat
     ]
     needed = 0
     for v in deferred:
+        assert len(v) == 7 or v[-1] == max_cn - 1, v
         window = range(v[-1] + 1, min(max_cn, pair_lemma(v, len(v) - 2)) + 1)
-        need = any(
-            (len(v) < 7 and c < max_cn) or pair_lemma(v + (c,), len(v) - 1) is None
-            for c in window
-        )
+        need = any(pair_lemma(v + (c,), len(v) - 1) is None for c in window)
         assert (v in order) == need, v
         if need:
             needed += 1
