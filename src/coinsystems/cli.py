@@ -295,10 +295,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_conj.add_argument("--max", type=int, required=True, help="largest allowed coin")
     p_conj.add_argument("--jobs", type=int, default=1)
-    p_conj.add_argument(
-        "--sample", type=float, default=0.01,
-        help="share of verdicts spot-checked, over the 3- and 4-prefixes only",
-    )
+    p_conj.add_argument("--sample", type=float, default=0.01, help="share of verdicts spot-checked")
     add_output_flags(p_conj)
     p_conj.set_defaults(func=_cmd_conjecture)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .canonicality import _min_counterexample
 from .characterize import pattern
-from .core import CoinSystem, _greedy_count, _opt_table
+from .core import CoinSystem, _greedy_count
 
 
 @dataclass(frozen=True)
@@ -165,7 +165,10 @@ def fixed_gap_prefix_check(spec: FixedGapSpec) -> FixedGapPrefixReport:
     For odd ell the guarantee covers prefix lengths 5..(3*ell-5)/2; for even
     ell it requires x + delta1 > delta2 + 1 and covers 5..(3*ell-4)/2.  The
     witness is twice the next-to-largest coin of the prefix for lengths up
-    to ell, and twice c(ell-1) beyond.
+    to ell, and twice c(ell-1) beyond.  As twice a coin, it is paid
+    optimally with at most two coins, and with one only if it is a coin,
+    which greedy pays with one too: it fails exactly when greedy pays it
+    with more than two.
     """
     if spec.ell % 2 == 0 and spec.x + spec.delta1 <= spec.delta2 + 1:
         raise ValueError("even pivot needs x + delta1 > delta2 + 1")
@@ -175,17 +178,13 @@ def fixed_gap_prefix_check(spec: FixedGapSpec) -> FixedGapPrefixReport:
     checks = []
     for k in range(5, min(spec.n, top) + 1):
         prefix = values[:k]
-        # the oracle refuses a window past the cap before the witness's table,
-        # which ends below that window at 2*c(k-1) or 2*c(ell-1)
         w = _min_counterexample(prefix)
         witness = 2 * prefix[-2] if k <= spec.ell else 2 * values[spec.ell - 2]
-        grd = _greedy_count(prefix, witness)
-        opt = _opt_table(prefix, witness)[witness]
         checks.append(
             FixedGapPrefixCheck(
                 length=k,
                 witness=witness,
-                witness_is_counterexample=grd > opt,
+                witness_is_counterexample=_greedy_count(prefix, witness) > 2,
                 min_counterexample=w,
             )
         )

@@ -22,17 +22,20 @@ counts alone (_spot_check).
 
 The conjecture scan looks for systems whose pattern is (+++-...-+).  A
 pattern is a property of the chain of prefixes, so one walk of each c2
-partition serves every requested length: below an orderly 3-prefix and a
-non-orderly 4-prefix, a non-orderly node is descended while a longer length
-is requested, and an orderly node at a requested length is a finding.  Each
-non-orderly 4-prefix is scanned once and the walk resumes below it as the
-census does.  Inside a subtree where every added coin exceeds the inherited
-w, all leaves stay non-orderly, so no finding can appear and the subtree is
-skipped.  As in the census, only a node whose children are all leaves takes
-the two-coin-sum lemma before its scan, and _orderly_leaves settles those
-leaves, nodes no longer length can grow from; every other node is scanned
-when its parent reaches it.  Every emitted finding is re-verified per prefix
-by the oracle.
+partition, on one stack from (1, c2), serves every requested length.  An
+orderly node, (1, c2) or an orderly 3-prefix, decides its children by the
+one-point test, exact there, and pushes only the orderly 3-prefixes and the
+non-orderly 4-prefixes, each scanned from [0].  Below them a non-orderly
+node is descended while a longer length is requested, and an orderly node
+at a requested length is a finding.  Inside a subtree where every added
+coin exceeds the inherited w, all leaves stay non-orderly, so no finding can
+appear and the subtree is skipped.  As in the census, only a node whose
+children are all leaves takes the two-coin-sum lemma before its scan, and
+_orderly_leaves settles those leaves, nodes no longer length can grow from;
+every other node is scanned when its parent reaches it.  Below a 4-prefix
+whose hash hits the sample modulus, every verdict is spot-checked, with no
+hash per verdict.  Every emitted finding is re-verified per prefix by the
+oracle.
 
 The agreement sweep iterates _oracle_walk, which yields each prefix in
 preorder with its first failure w (a child inherits w under a larger coin,
@@ -270,59 +273,58 @@ def _scan_partition(
     # top[d], the largest coin at depth d, leaves room for the shortest
     # requested length >= d; a child at depth d from top[d + 1] up leaves no
     # room for a longer length, so it is a leaf (past the deepest length, 0,
-    # twice over, as walk reads top[depth + 2] for every node)
+    # twice over, as a node's loop reads top[depth + 2])
     top = [max_cn - min(n for n in lengths if n >= d) + d for d in range(lengths[-1] + 1)] + [0, 0]
     found: dict[int, list[tuple[int, ...]]] = {n: [] for n in lengths}
-
-    def head(values, bits, h) -> None:
-        # a 2- or 3-prefix: the first three marks must be '+', the fourth '-'
+    stack = [((1, c2), 2 | 1 << c2, None, None, False)]
+    while stack:
+        values, bits, w, grd, sampled = stack.pop()
         depth = len(values) + 1
-        for c in range(values[-1] + 1, top[depth] + 1):
-            child = values + (c,)
-            cw = _extend_verdict(child)
-            ch = ((h ^ c) * 16777619) & 0xFFFFFFFF
-            if sample_mod and ch % sample_mod == 0:
-                _spot_check(child, cw)
-            if cw is None and depth == 3:
-                head(child, bits | 1 << c, ch)
-            elif cw is not None and depth == 4:
-                # one subtree at a time: only its pending nodes hold tables
-                cgrd = [0]
-                walk([(child, bits | 1 << c, _scan_from(child, cgrd), cgrd)])
-
-    def walk(stack) -> None:
-        while stack:
-            # values is not orderly, w is its minimal counterexample and grd
-            # reaches it.  A child above w keeps it, so the children stop at w.
-            values, bits, w, grd = stack.pop()
-            depth = len(values) + 1
-            leaf_from = top[depth + 1]
-            # a child from lo - 1 up has only leaf children; it alone takes the lemma first
-            lo = top[depth + 2]
-            p = values[-1]
-            for c in range(p + 1, (w if w < leaf_from else leaf_from - 1) + 1):
+        p = values[-1]
+        if w is None:
+            # (1, c2) or an orderly 3-prefix, so the one-point test is exact
+            # on its children: the first three marks must be '+', the fourth '-'
+            for c in range(p + 1, top[depth] + 1):
                 child = values + (c,)
-                cgrd, cw = grd, None if c + 1 < lo else _pair_counterexample(bits, p, c)
-                if cw is None:
-                    cgrd = grd[:c]
+                cw = _extend_verdict(child)
+                hit = sample_mod > 0 and _fingerprint(child) % sample_mod == 0
+                if cw is None and depth == 3:
+                    stack.append((child, bits | 1 << c, None, None, False))
+                elif cw is not None and depth == 4:
+                    cgrd = [0]
                     cw = _scan_from(child, cgrd)
-                    if cw is None:
-                        if depth in found:
-                            found[depth].append(child)
-                        continue
-                if c + 1 < lo:
-                    stack.append((child, bits | 1 << c, cw, cgrd))
-                elif 2 * c - p <= (cw if cw < leaf_from else leaf_from):  # a survivor leaf
-                    found[depth + 1] += _orderly_leaves(
-                        child, bits | 1 << c, cw, cgrd, cgrd is not grd, lo, leaf_from, 0, 0
-                    )
-            # a survivor may lie in range
-            if depth in found and leaf_from <= w and leaf_from < 2 * p:
-                found[depth] += _orderly_leaves(
-                    values, bits, w, grd, True, leaf_from, top[depth], 0, 0
+                    stack.append((child, bits | 1 << c, cw, cgrd, hit))
+                if hit:
+                    _spot_check(child, cw)
+            continue
+        # values is not orderly, w is its minimal counterexample and grd
+        # reaches it.  A child above w keeps it, so the children stop at w.
+        leaf_from = top[depth + 1]
+        # a child from lo - 1 up has only leaf children; it alone takes the lemma first
+        lo = top[depth + 2]
+        for c in range(p + 1, (w if w < leaf_from else leaf_from - 1) + 1):
+            child = values + (c,)
+            cgrd, cw = grd, None if c + 1 < lo else _pair_counterexample(bits, p, c)
+            if cw is None:
+                cgrd = grd[:c]
+                cw = _scan_from(child, cgrd)
+            if sampled:
+                _spot_check(child, cw)
+            if cw is None:
+                if depth in found:
+                    found[depth].append(child)
+            elif c + 1 < lo:
+                stack.append((child, bits | 1 << c, cw, cgrd, sampled))
+            elif 2 * c - p <= (cw if cw < leaf_from else leaf_from):  # a survivor leaf
+                # sampled, a modulus of 1 or 0, checks every leaf verdict or none
+                found[depth + 1] += _orderly_leaves(
+                    child, bits | 1 << c, cw, cgrd, cgrd is not grd, lo, leaf_from, sampled, 0
                 )
-
-    head((1, c2), 2 | 1 << c2, _fingerprint((1, c2)))
+        # a survivor may lie in range
+        if depth in found and leaf_from <= w and leaf_from < 2 * p:
+            found[depth] += _orderly_leaves(
+                values, bits, w, grd, True, leaf_from, top[depth], sampled, 0
+            )
     # the walk pops nodes out of lexicographic order
     return {n: sorted(found[n]) for n in found}
 
@@ -343,8 +345,8 @@ def conjecture_scan(
     come per requested length, in the order the lengths are given (a repeated
     length repeats its findings), and in lexicographic order within a length.
     Each finding is re-verified prefix by prefix against the oracle and
-    looked up in the fixed-gap families; each sampled 3- or 4-prefix is
-    spot-checked once.
+    looked up in the fixed-gap families.  Each sampled 3- or 4-prefix, and
+    every verdict below a sampled 4-prefix, is spot-checked once.
     """
     lengths = list(lengths)
     mod = _sample_modulus(sample_rate)

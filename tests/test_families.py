@@ -1,5 +1,8 @@
 """Tests for the fixed-gap generators, prefix checks, and membership."""
 
+from collections import Counter
+from itertools import product
+
 import pytest
 
 from coinsystems import families
@@ -17,7 +20,9 @@ from coinsystems import (
     verify_target_pattern,
 )
 
-from bruteforce import ref_pattern
+from coinsystems.core import _opt_table
+
+from bruteforce import ref_greedy_count, ref_pattern
 
 
 # ---------- fixed-gap construction ----------
@@ -153,25 +158,56 @@ def test_fixed_gap_prefix_check_even_pivot_hypothesis():
 
 def test_fixed_gap_prefix_check_refuses_a_prefix_over_the_cap_before_its_table(monkeypatch):
     """(1,40,41,44,45,49) has the 5-prefix window 88 and witness 88 = 2*44:
-    with a cap of 50 the check raises, and no table past the cap is built."""
+    with a cap of 50 the check raises before its witness is evaluated."""
     monkeypatch.setattr("coinsystems.core.DEFAULT_VALUE_CAP", 50)
-    opt_table, limits = families._opt_table, []
+    greedy_count, amounts = families._greedy_count, []
 
-    def table(values, limit):
-        limits.append(limit)
-        return opt_table(values, limit)
+    def greedy(values, amount):
+        amounts.append(amount)
+        return greedy_count(values, amount)
 
-    monkeypatch.setattr(families, "_opt_table", table)
+    monkeypatch.setattr(families, "_greedy_count", greedy)
     with pytest.raises(ResourceLimitError):
         fixed_gap_prefix_check(FixedGapSpec(n=6, ell=5, x=40, delta1=1, delta2=3))
-    assert all(limit <= 50 for limit in limits)
+    assert all(amount <= 50 for amount in amounts)
     # the prefixes of (1,2,5,6,9,10,13,14,18,...) under a cap of 30 are still
     # checked at their witnesses; the 9-prefix's window, 31, is refused
     monkeypatch.setattr("coinsystems.core.DEFAULT_VALUE_CAP", 30)
-    limits.clear()
+    amounts.clear()
     with pytest.raises(ResourceLimitError):
         fixed_gap_prefix_check(FamilyParams(family="D", r=3, a=3).spec())
-    assert limits == [12, 18, 20, 26]
+    assert amounts == [12, 18, 20, 26]
+
+
+def test_fixed_gap_prefix_check_witness_verdict_matches_the_dp_table():
+    """A witness is twice a coin, so it fails exactly when greedy pays it
+    with more than two coins.  On all 18,648 middle prefixes with n <= 11,
+    x <= 7 and gaps <= 7 that rule gives the DP table's verdict; the
+    check's verdict is the table's on the 16,464 it takes, all failing, and
+    the rule holds on the even-pivot prefixes it refuses too, some of whose
+    witnesses greedy pays optimally with one or two coins."""
+    seen, paid = Counter(), set()
+    for n, x, delta1, delta2 in product(range(5, 12), range(2, 8), range(1, 8), range(1, 8)):
+        for ell in range(4, n):
+            if delta1 == delta2:
+                continue
+            spec = FixedGapSpec(n=n, ell=ell, x=x, delta1=delta1, delta2=delta2)
+            values = gen_fixed_gap(spec).values
+            taken = not (ell % 2 == 0 and x + delta1 <= delta2 + 1)
+            checks = fixed_gap_prefix_check(spec).checks if taken else ()
+            for k in range(5, min(n, (3 * ell - 4) // 2) + 1):
+                prefix = values[:k]
+                witness = 2 * values[min(k, ell) - 2]
+                greedy = ref_greedy_count(prefix, witness)
+                fails = greedy > _opt_table(prefix, witness)[witness]
+                assert (greedy > 2) == fails, (prefix, witness)
+                if taken:
+                    check = checks[k - 5]
+                    assert (check.witness, check.witness_is_counterexample) == (witness, fails)
+                elif not fails:
+                    paid.add(greedy)
+                seen[taken] += 1
+    assert seen == {True: 16_464, False: 2_184} and paid == {1, 2}
 
 
 # ---------- membership ----------

@@ -607,7 +607,11 @@ def test_conjecture_scan_lengths_share_one_walk(lengths):
 
 def test_conjecture_scan_visits_each_prefix_once(monkeypatch):
     """The lengths 5..8 share one walk: every oracle scan and every sampled
-    spot-check of the four single-length walks runs exactly once."""
+    spot-check runs exactly once, and the walk scans what the four
+    single-length walks scan.  The sample is each 3- and 4-prefix whose hash
+    hits the modulus and, below them, every verdict under a sampled
+    4-prefix, which the shared and single-length walks compute differently:
+    there each walk spot-checks every system it scans, and nothing else."""
     lengths, max_cn, sample_rate = [5, 6, 7, 8], 24, 0.05
     scan_from, spot_check = search._scan_from, search._spot_check
     scans, spots = [], []
@@ -632,9 +636,9 @@ def test_conjecture_scan_visits_each_prefix_once(monkeypatch):
     for n in lengths:
         conjecture_scan([n], max_cn, sample_rate=sample_rate)
     assert set(shared_scans) == set(scans)
-    assert set(shared_spots) == set(spots)
+    assert {v for v in shared_spots if len(v) <= 4} == {v for v in spots if len(v) <= 4}
 
-    # the sample: every 3-prefix and every 4-prefix below an orderly
+    # the head's sample: every 3-prefix and every 4-prefix below an orderly
     # 3-prefix that leaves room for five values, whose hash hits the modulus
     prefixes = [
         (1,) + combo for combo in combinations(range(2, max_cn - 1), 2)
@@ -645,7 +649,56 @@ def test_conjecture_scan_visits_each_prefix_once(monkeypatch):
     ]
     sampled = [v for v in prefixes if search._fingerprint(v) % 20 == 0]
     assert sampled
-    assert sorted(shared_spots) == sorted(sampled)
+    assert sorted(v for v in shared_spots if len(v) <= 4) == sorted(sampled)
+    sampled_heads = {v for v in sampled if len(v) == 4}
+    for walk_spots, walk_scans in (shared_spots, shared_scans), (spots, scans):
+        below = {v for v in walk_spots if len(v) > 4}
+        assert below and all(v[:4] in sampled_heads for v in below)
+        assert {v for v, _ in walk_scans if v[:4] in sampled_heads} <= set(walk_spots)
+
+
+def test_conjecture_scan_spot_checks_catch_a_planted_wrong_verdict(capsys, monkeypatch):
+    """A scan that gives the orderly (1, 2, 4, 5, 8), a finding under the
+    non-orderly (1, 2, 4, 5), the amount 7 loses that finding.  Below a
+    sampled 4-prefix every verdict is spot-checked, so at sample rate 1
+    conjecture exits 3 naming the witness; at sample rate 0 nothing checks
+    it and the scan reports one finding fewer."""
+    scan_from = search._scan_from
+
+    def scan(values, grd):
+        w = scan_from(values, grd)
+        return 7 if values == (1, 2, 4, 5, 8) else w
+
+    assert (1, 2, 4, 5, 8) in [f.system.values for f in conjecture_scan([5], 12)]
+    monkeypatch.setattr("coinsystems.search._scan_from", scan)
+    assert main(["conjecture", "--n", "5", "--max", "12", "--sample", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "witness 7 " in captured.err
+    assert main(["conjecture", "--n", "5", "--max", "12", "--sample", "0"]) == 0
+    assert "1, 2, 4, 5, 8" not in capsys.readouterr().out
+
+
+def test_conjecture_scan_takes_the_one_point_test_only_under_an_orderly_node(monkeypatch):
+    """The one-point test is exact only on a child of an orderly node, so
+    the scan calls it on the children of (1, c2) and of the orderly
+    3-prefixes alone, once on each such child within the bounds."""
+    max_cn = 24
+    extend_verdict, extended = search._extend_verdict, []
+
+    def extend(child):
+        extended.append(child)
+        return extend_verdict(child)
+
+    monkeypatch.setattr("coinsystems.search._extend_verdict", extend)
+    conjecture_scan([5, 6, 7, 8], max_cn)
+    assert all(len(v) == 3 or ref_is_orderly(v[:3]) for v in extended)
+    # room for five values: c3 <= max_cn - 2 and c4 <= max_cn - 1
+    expected = [(1,) + combo for combo in combinations(range(2, max_cn - 1), 2)] + [
+        (1,) + combo
+        for combo in combinations(range(2, max_cn), 3)
+        if ref_is_orderly((1,) + combo[:2])
+    ]
+    assert sorted(extended) == sorted(expected)
 
 
 def test_conjecture_scan_at_the_benchmark_bound():
