@@ -42,6 +42,8 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_DISAGREEMENT = 3
 
+_SAMPLE_HELP = "share of verdicts checked, rounded to 1/k: 0.75 checks all, 0.4 half, 0.3 a third"
+
 # fixed column order for per-system records
 _COLUMNS = [
     "system",
@@ -284,7 +286,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--n", type=int, required=True, help="number of coin values")
     p_enum.add_argument("--max", type=int, required=True, help="largest allowed coin")
     p_enum.add_argument("--jobs", type=int, default=1)
-    p_enum.add_argument("--sample", type=float, default=0.01, help="share of verdicts spot-checked")
+    p_enum.add_argument("--sample", type=float, default=0.01, help=_SAMPLE_HELP)
     add_output_flags(p_enum)
     p_enum.set_defaults(func=_cmd_enumerate)
 
@@ -295,7 +297,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_conj.add_argument("--max", type=int, required=True, help="largest allowed coin")
     p_conj.add_argument("--jobs", type=int, default=1)
-    p_conj.add_argument("--sample", type=float, default=0.01, help="share of verdicts spot-checked")
+    p_conj.add_argument("--sample", type=float, default=0.01, help=_SAMPLE_HELP)
     add_output_flags(p_conj)
     p_conj.set_defaults(func=_cmd_conjecture)
 

@@ -7,18 +7,16 @@ partition per c2; the order of the walk changes no finding or count.  Under
 jobs > 1 the partitions run in worker processes, no more than there are
 partitions or cores, and merge in order.
 
-The census takes each verdict from the parent's oracle table, the scan's one
-table of greedy counts: over the whole window of an orderly node, up to the
-minimal failing amount w of a non-orderly one, and [0] at the root (1, c2).
-A child with coin c resumes the scan from the table cut at c, since c
-changes no count below c.  A node with only leaf children takes the
+The census takes each verdict from the parent's table of greedy counts, the
+one the oracle scan keeps: over the whole window of an orderly node, up to
+the minimal failing amount w of a non-orderly one, and [0] at the root
+(1, c2).  A child with coin c resumes the scan from the table cut at c,
+since c changes no count below c.  A node with only leaf children takes the
 two-coin-sum lemma (canonicality._pair_counterexample) before any scan, and
-_orderly_leaves settles its leaves.  Under a non-orderly node the walk stops
-at w: a prefix under a larger coin keeps w (no amount below the new coin can
-use it), so the leaves of those subtrees are all '-' and are counted, not
-walked.  A deterministic sample of the verdicts computed is spot-checked:
-an orderly one by the oracle from amount 1, a failing amount by greedy
-counts alone (_spot_check).
+_orderly_leaves settles its leaves; a node the lemma rejects is deferred,
+scanned once a leaf needs its table.  Under a non-orderly node the walk
+stops at w: a prefix under a larger coin keeps w, which no amount below the
+coin can use, so the leaves of those subtrees are all '-' and are counted.
 
 The conjecture scan looks for systems whose pattern is (+++-...-+).  A
 pattern is a property of the chain of prefixes, so one walk of each c2
@@ -26,16 +24,18 @@ partition, on one stack from (1, c2), serves every requested length.  An
 orderly node, (1, c2) or an orderly 3-prefix, decides its children by the
 one-point test, exact there, and pushes only the orderly 3-prefixes and the
 non-orderly 4-prefixes, each scanned from [0].  Below them a non-orderly
-node is descended while a longer length is requested, and an orderly node
-at a requested length is a finding.  Inside a subtree where every added
-coin exceeds the inherited w, all leaves stay non-orderly, so no finding can
-appear and the subtree is skipped.  As in the census, only a node whose
-children are all leaves takes the two-coin-sum lemma before its scan, and
-_orderly_leaves settles those leaves, nodes no longer length can grow from;
-every other node is scanned when its parent reaches it.  Below a 4-prefix
-whose hash hits the sample modulus, every verdict is spot-checked, with no
-hash per verdict.  Every emitted finding is re-verified per prefix by the
-oracle.
+node is descended while a longer length is requested, and an orderly node at
+a requested length is a finding.  A subtree whose added coins all exceed the
+inherited w keeps w at every leaf, so it holds no finding and is skipped.
+As in the census, only a node whose children are all leaves takes the lemma
+before its scan, and _orderly_leaves settles those leaves, nodes no longer
+length can grow from.
+
+Both sweeps spot-check the verdicts they compute for one sample: a prefix of
+at most four coins when its _fingerprint is a multiple of the sample
+modulus, a longer one when its 4-prefix is.  A deferred node is checked on
+its lemma amount and on its w.  An orderly verdict is checked by the oracle
+from amount 1, a failing amount by greedy counts alone (_spot_check).
 
 The agreement sweep iterates _oracle_walk, which yields each prefix in
 preorder with its first failure w (a child inherits w under a larger coin,
@@ -103,13 +103,11 @@ def _spot_check(values: tuple[int, ...], w: int | None) -> None:
 def _sample_modulus(sample_rate: float) -> int:
     if not 0.0 <= sample_rate <= 1.0:
         raise ValueError("sample rate must be within [0, 1]")
-    if sample_rate == 0.0:
-        return 0
-    # fingerprints lie below 2**32, so any larger modulus samples the same
-    return max(1, round(min(1.0 / sample_rate, 2.0**32)))
+    # k = round(1 / rate) samples 1/k of the fingerprints; all lie below 2**32
+    return round(min(1.0 / sample_rate, 2.0**32)) if sample_rate else 0
 
 
-def _orderly_leaves(values, bits, w, grd, scanned, lo, cap, sample_mod, h) -> list[tuple]:
+def _orderly_leaves(values, bits, w, grd, scanned, lo, cap, sampled) -> list[tuple]:
     """The orderly leaves values + (c,) with c in [lo, min(w, cap)], for a
     node whose children are all leaves; bits has bit x set per coin x.
 
@@ -122,8 +120,8 @@ def _orderly_leaves(values, bits, w, grd, scanned, lo, cap, sample_mod, h) -> li
     with x = y = p rejects a leaf c < 2p unless 2p - c is a coin, a
     non-orderly node tries only c = 2p - x for its coins x.  Unscanned, it is
     scanned at the first that the lemma passes, which is dropped if it lies
-    above the new w.  With sample_mod set, a verdict is spot-checked when the
-    leaf's FNV-1a hash, folded on from the node's hash h, is a multiple of it.
+    above the new w.  If sampled, each verdict found here, a new w too, is
+    spot-checked.  Leaves take the flag, even in a census of three or four.
     """
     p = values[-1]
     p2 = 2 * p
@@ -140,6 +138,8 @@ def _orderly_leaves(values, bits, w, grd, scanned, lo, cap, sample_mod, h) -> li
             if not scanned:
                 grd = grd[:p]
                 w, scanned = _scan_from(values, grd), True
+                if sampled:
+                    _spot_check(values, w)
                 hi = w if w < cap else cap
                 if c > hi:
                     break
@@ -147,7 +147,7 @@ def _orderly_leaves(values, bits, w, grd, scanned, lo, cap, sample_mod, h) -> li
             cw = _scan_from(leaf, grd[:c])
             if cw is None:
                 leaves.append(leaf)
-        if sample_mod and (((h ^ c) * 16777619) & 0xFFFFFFFF) % sample_mod == 0:
+        if sampled:
             _spot_check(values + (c,), cw)
     return leaves
 
@@ -159,21 +159,23 @@ def _census_partition(args: tuple[int, int, int, int]) -> dict[str, int]:
     n, max_cn, c2, sample_mod = args
     counts: dict[str, int] = {}
 
-    def settle(values, marks, w, grd, h, bits, scanned=True) -> None:
+    def settle(values, marks, w, grd, sampled, bits, scanned=True) -> None:
         p = values[-1]
-        plus = len(_orderly_leaves(values, bits, w, grd, scanned, p + 1, max_cn, sample_mod, h))
+        plus = len(_orderly_leaves(values, bits, w, grd, scanned, p + 1, max_cn, sampled))
         for mark, count in ("+", plus), ("-", max_cn - p - plus):
             if count:
                 counts[marks + mark] = counts.get(marks + mark, 0) + count
 
-    stack = [((1, c2), "++", None, [0], _fingerprint((1, c2)), 2 | 1 << c2)]
+    hit = sample_mod > 0 and _fingerprint((1, c2)) % sample_mod == 0
+    stack = [((1, c2), "++", None, [0], hit, 2 | 1 << c2)]
     if n == 3:
         settle(*stack.pop())
     while stack:
         # w is None when values is orderly; otherwise it is the minimal
         # counterexample, above every coin (each is at most its parent's w),
         # and grd reaches it.  bits has bit x set for each coin x.
-        values, marks, w, grd, h, bits = stack.pop()
+        values, marks, w, grd, sampled, bits = stack.pop()
+        head = sample_mod > 0 and len(values) < 4  # children of <= 4 coins: by fingerprint
         remaining = n - len(values) - 1
         top = max_cn - remaining
         p = values[-1]
@@ -184,17 +186,16 @@ def _census_partition(args: tuple[int, int, int, int]) -> dict[str, int]:
             if cw is None:
                 cgrd = grd[:c]
                 cw = _scan_from(child, cgrd)
-            # FNV-1a of child, folded on from the parent's hash
-            ch = ((h ^ c) * 16777619) & 0xFFFFFFFF
-            if sample_mod and ch % sample_mod == 0:
+            hit = _fingerprint(child) % sample_mod == 0 if head else sampled
+            if hit:
                 _spot_check(child, cw)
             cmarks = marks + ("+" if cw is None else "-")
             if remaining > 1:
-                stack.append((child, cmarks, cw, cgrd, ch, bits | 1 << c))
+                stack.append((child, cmarks, cw, cgrd, hit, bits | 1 << c))
             elif cw is not None and 2 * c - p > min(cw, max_cn):  # no survivor leaf to try
                 counts[cmarks + "-"] = counts.get(cmarks + "-", 0) + max_cn - c
             else:
-                settle(child, cmarks, cw, cgrd, ch, bits | 1 << c, cgrd is not grd)
+                settle(child, cmarks, cw, cgrd, hit, bits | 1 << c, cgrd is not grd)
         if w is not None and w < top:
             # every prefix under a coin above w keeps w: its leaves are all
             # '-', one per choice of the remaining + 1 coins from w + 1 up
@@ -316,14 +317,13 @@ def _scan_partition(
             elif c + 1 < lo:
                 stack.append((child, bits | 1 << c, cw, cgrd, sampled))
             elif 2 * c - p <= (cw if cw < leaf_from else leaf_from):  # a survivor leaf
-                # sampled, a modulus of 1 or 0, checks every leaf verdict or none
                 found[depth + 1] += _orderly_leaves(
-                    child, bits | 1 << c, cw, cgrd, cgrd is not grd, lo, leaf_from, sampled, 0
+                    child, bits | 1 << c, cw, cgrd, cgrd is not grd, lo, leaf_from, sampled
                 )
         # a survivor may lie in range
         if depth in found and leaf_from <= w and leaf_from < 2 * p:
             found[depth] += _orderly_leaves(
-                values, bits, w, grd, True, leaf_from, top[depth], sampled, 0
+                values, bits, w, grd, True, leaf_from, top[depth], sampled
             )
     # the walk pops nodes out of lexicographic order
     return {n: sorted(found[n]) for n in found}
@@ -345,8 +345,8 @@ def conjecture_scan(
     come per requested length, in the order the lengths are given (a repeated
     length repeats its findings), and in lexicographic order within a length.
     Each finding is re-verified prefix by prefix against the oracle and
-    looked up in the fixed-gap families.  Each sampled 3- or 4-prefix, and
-    every verdict below a sampled 4-prefix, is spot-checked once.
+    looked up in the fixed-gap families.  The verdicts in the module's sample
+    are spot-checked, a deferred node's lemma amount and w both.
     """
     lengths = list(lengths)
     mod = _sample_modulus(sample_rate)

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import pytest
 
 import coinsystems
-from coinsystems import InternalDisagreementError
+from coinsystems import InternalDisagreementError, search
 from coinsystems.cli import _build_parser, main
 
 from bruteforce import ref_greedy_counts, ref_lex_smallest_optimal, ref_min_counterexample
@@ -259,6 +259,23 @@ def test_a_subnormal_sample_rate_samples_nothing(capsys, argv, rate):
     expected = capsys.readouterr().out
     assert main(argv + ["--sample", rate]) == 0
     assert capsys.readouterr().out == expected
+
+
+def test_a_sample_rate_rounds_to_one_in_k(capsys):
+    """--sample checks 1/k of the verdicts with k = round(1/rate), ties to
+    even: 0.75 checks every verdict, 0.4 half and 0.3 a third, and a tiny
+    rate stops at 2**32, above every fingerprint.  A rate that is not a
+    number in [0, 1] is refused, by the CLI with exit status 2."""
+    rates = [1, 0.75, 0.5, 0.4, 0.3, 1e-12, 0]
+    assert [search._sample_modulus(r) for r in rates] == [1, 1, 2, 2, 3, 2**32, 0]
+    for rate in ["nan", "inf", "-0.1"]:
+        with pytest.raises(ValueError):
+            search._sample_modulus(float(rate))
+        for argv in ["enumerate", "--n", "4"], ["conjecture", "--n", "5"]:
+            with pytest.raises(SystemExit) as err:
+                main(argv + ["--max", "8", "--sample", rate])
+            assert err.value.code == 2
+            assert "sample rate must be within [0, 1]" in capsys.readouterr().err
 
 
 # ---------- exit codes ----------

@@ -113,7 +113,7 @@ def test_orderly_leaves_match_the_reference_exhaustively(monkeypatch):
                 expected = [v + (c,) for c in orderly if lo <= c <= cap]
                 grd = [0]
                 w = scan_from(v, grd)
-                assert search._orderly_leaves(v, bits, w, grd, True, lo, cap, 0, 0) == expected
+                assert search._orderly_leaves(v, bits, w, grd, True, lo, cap, False) == expected
                 if a is None:
                     continue
                 parent_grd = [0]
@@ -121,7 +121,7 @@ def test_orderly_leaves_match_the_reference_exhaustively(monkeypatch):
                     scan_from(v[:-1], parent_grd)
                 rejected += 1
                 scanned.clear()
-                leaves = search._orderly_leaves(v, bits, a, parent_grd, False, lo, cap, 0, 0)
+                leaves = search._orderly_leaves(v, bits, a, parent_grd, False, lo, cap, False)
                 assert leaves == expected, (v, lo, cap)
                 survivors = [2 * p - x for x in v[:-1] if lo <= 2 * p - x <= min(a, cap)]
                 passed = any(ref_pair_amount(v + (c,), p) is None for c in survivors)
@@ -320,35 +320,135 @@ def test_pattern_census_matches_a_flat_oracle_loop(n, max_cn):
     assert pattern_census(n, max_cn, sample_rate=1.0) == dict(expected)
 
 
+def census_interior(n, max_cn):
+    """The prefixes of length 3 to n - 1 that the census walks: none of
+    their coins exceeds the minimal counterexample of the prefix below it."""
+    return [
+        (1,) + combo
+        for k in range(3, n)
+        for combo in combinations(range(2, max_cn - (n - k) + 1), k - 1)
+        if census_walks((1,) + combo)
+    ]
+
+
+def census_deferred(n, max_cn):
+    """The walked (n-1)-prefixes that the lemma rejects with amount a and
+    _orderly_leaves scans: a survivor 2p - x in (p, min(a, max_cn)] passes
+    the lemma.  Each maps to (a, w)."""
+    deferred = {}
+    for v in census_interior(n, max_cn):
+        a, p = pair_lemma(v, n - 3) if len(v) == n - 1 else None, v[-1]
+        if a is None:
+            continue
+        survivors = [2 * p - x for x in v[:-1] if p < 2 * p - x <= min(a, max_cn)]
+        if any(ref_pair_amount(v + (c,), p) is None for c in survivors):
+            deferred[v] = (a, ref_min_counterexample(v))
+    return deferred
+
+
 def test_pattern_census_spot_checks_exactly_the_walked_children(monkeypatch):
     """At sample rate 1 every child the walk computes a verdict for is
-    spot-checked once.  Those children are the prefixes of length 3 to n - 1
-    none of whose coins exceeds the minimal counterexample of the prefix
-    below it, and the leaves that census_leaf_verdicts derives: a leaf under
-    a non-orderly node is checked only if it is a survivor that the walk
-    tries.  At (5, 16), 8 leaves up to w of scanned non-orderly nodes, such
-    as (1, 2, 6, 13, 14), are no survivors and get no verdict."""
+    spot-checked once, and each deferred node twice: on the lemma's amount,
+    then on the w of its late scan.  Those children are the prefixes that
+    census_interior lists and the leaves that census_leaf_verdicts derives:
+    a leaf under a non-orderly node is checked only if it is a survivor that
+    the walk tries.  At (5, 16), 8 leaves up to w of scanned non-orderly
+    nodes, such as (1, 2, 6, 13, 14), are no survivors and get no verdict."""
     spot_check = search._spot_check
     spotted = []
 
     def spot(values, w):
-        spotted.append(values)
+        spotted.append((values, w))
         return spot_check(values, w)
 
     monkeypatch.setattr("coinsystems.search._spot_check", spot)
-    for n, max_cn, walked, checked in [(6, 16, 983, 1_855), (5, 16, 384, 865)]:
+    for n, max_cn, walked, checked in [(6, 16, 983, 1_864), (5, 16, 384, 870)]:
         spotted.clear()
         pattern_census(n, max_cn, sample_rate=1.0)
-        interior = [
-            (1,) + combo
-            for k in range(3, n)
-            for combo in combinations(range(2, max_cn - (n - k) + 1), k - 1)
-            if census_walks((1,) + combo)
-        ]
+        interior = census_interior(n, max_cn)
         expected = interior + list(census_leaf_verdicts(n, max_cn))
         assert len(interior) == walked
-        assert len(spotted) == len(set(spotted)) == checked
-        assert sorted(spotted) == sorted(expected)
+        assert len(spotted) == checked
+        values = [v for v, _ in spotted]
+        assert sorted(set(values)) == sorted(expected)
+        deferred = census_deferred(n, max_cn)
+        assert deferred
+        assert Counter(values) - Counter(expected) == Counter(list(deferred))
+        for v, amounts in deferred.items():
+            assert tuple(w for u, w in spotted if u == v) == amounts
+
+
+def assert_one_sample(spots, scans, walked, mod):
+    """The sample rule both sweeps share, at modulus mod: the spots of at
+    most four coins are exactly the walked prefixes of at most four coins
+    whose fingerprint is a multiple of mod, every longer spot lies under
+    such a 4-prefix, and every system scanned under one is spot-checked."""
+    hits = {v for v in walked if len(v) <= 4 and search._fingerprint(v) % mod == 0}
+    assert hits
+    assert {v for v in spots if len(v) <= 4} == hits
+    heads = {v for v in hits if len(v) == 4}
+    below = {v for v in spots if len(v) > 4}
+    assert below and all(v[:4] in heads for v in below)
+    assert {v for v in scans if len(v) > 4 and v[:4] in heads} <= below
+
+
+@pytest.mark.parametrize(
+    "lengths, max_cn, sample_rate",
+    [(7, 20, 0.05), (6, 16, 0.05), (5, 16, 0.1), ([5, 6, 7, 8], 24, 0.05)],
+)
+def test_both_sweeps_sample_by_one_rule(monkeypatch, lengths, max_cn, sample_rate):
+    """At a rate strictly between 0 and 1 the census (one length) and the
+    scan (a list) sample by one rule: walked 3- and 4-prefixes by their own
+    fingerprints, and below a sampled 4-prefix every verdict, the w of a
+    deferred node included.  The scan walks every 3-prefix and the
+    4-prefixes below an orderly 3-prefix, each leaving room for five values."""
+    scan_from, spot_check = search._scan_from, search._spot_check
+    spots, scans = [], []
+
+    def scan(values, grd):
+        scans.append(values)
+        return scan_from(values, grd)
+
+    def spot(values, w):
+        spots.append(values)
+        return spot_check(values, w)
+
+    monkeypatch.setattr("coinsystems.search._scan_from", scan)
+    monkeypatch.setattr("coinsystems.search._spot_check", spot)
+    if isinstance(lengths, int):
+        pattern_census(lengths, max_cn, sample_rate=sample_rate)
+        walked = census_interior(lengths, max_cn)
+    else:
+        conjecture_scan(lengths, max_cn, sample_rate=sample_rate)
+        walked = [(1,) + combo for combo in combinations(range(2, max_cn - 1), 2)] + [
+            (1,) + combo
+            for combo in combinations(range(2, max_cn), 3)
+            if ref_is_orderly((1,) + combo[:2])
+        ]
+    assert_one_sample(spots, scans, walked, search._sample_modulus(sample_rate))
+
+
+def test_pattern_census_spot_checks_the_w_of_a_deferred_node(capsys, monkeypatch):
+    """A scan that gives the deferred (1, 2, 4, 8, 10), whose lemma amount
+    and w are both 16, the amount 11, which greedy pays optimally as 10 + 1,
+    is caught at sample rate 1: the node's late scan in _orderly_leaves is
+    spot-checked, so the census raises and enumerate exits 3 naming the
+    witness.  At sample rate 0 nothing checks it."""
+    scan_from = search._scan_from
+
+    def scan(values, grd):
+        w = scan_from(values, grd)
+        return 11 if values == (1, 2, 4, 8, 10) else w
+
+    assert census_deferred(6, 16)[(1, 2, 4, 8, 10)] == (16, 16)
+    monkeypatch.setattr("coinsystems.search._scan_from", scan)
+    pattern_census(6, 16, sample_rate=0.0)
+    with pytest.raises(InternalDisagreementError, match="witness 11 "):
+        pattern_census(6, 16, sample_rate=1.0)
+    assert main(["enumerate", "--n", "6", "--max", "16", "--sample", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "witness 11 " in captured.err
+    assert main(["enumerate", "--n", "6", "--max", "16", "--sample", "0"]) == 0
 
 
 def test_pattern_census_work_at_the_benchmark_bound(monkeypatch):
@@ -676,6 +776,30 @@ def test_conjecture_scan_spot_checks_catch_a_planted_wrong_verdict(capsys, monke
     assert captured.out == "" and "witness 7 " in captured.err
     assert main(["conjecture", "--n", "5", "--max", "12", "--sample", "0"]) == 0
     assert "1, 2, 4, 5, 8" not in capsys.readouterr().out
+
+
+def test_conjecture_scan_spot_checks_the_w_of_a_deferred_node(capsys, monkeypatch):
+    """A scan that gives the deferred (1, 2, 4, 5, 7, 9, 12), whose w is 18,
+    the amount 16 loses the finding (1, 2, 4, 5, 7, 9, 12, 17).  The node's
+    late scan in _orderly_leaves is spot-checked under its 4-prefix's flag,
+    so at sample rate 1 the scan raises and conjecture exits 3 naming the
+    witness; at sample rate 0 nothing checks it."""
+    lengths, finding = [5, 6, 7, 8], (1, 2, 4, 5, 7, 9, 12, 17)
+    scan_from = search._scan_from
+
+    def scan(values, grd):
+        w = scan_from(values, grd)
+        return 16 if values == finding[:-1] else w
+
+    assert finding in [f.system.values for f in conjecture_scan(lengths, 24)]
+    monkeypatch.setattr("coinsystems.search._scan_from", scan)
+    assert finding not in [f.system.values for f in conjecture_scan(lengths, 24, sample_rate=0)]
+    with pytest.raises(InternalDisagreementError, match="witness 16 "):
+        conjecture_scan(lengths, 24, sample_rate=1.0)
+    assert main(["conjecture", "--n", "5,6,7,8", "--max", "24", "--sample", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "witness 16 " in captured.err
+    assert main(["conjecture", "--n", "5,6,7,8", "--max", "24", "--sample", "0"]) == 0
 
 
 def test_conjecture_scan_takes_the_one_point_test_only_under_an_orderly_node(monkeypatch):
