@@ -7,14 +7,29 @@ equal optimal ones below the first counterexample; that lies below c(n-1)+cn
 amounts to check, past its first _LOOP amounts, is compared a block at a
 time over table slices: each comparison reads only amounts below the
 largest coin in play, all already tabulated, so a block needs none of its
-own entries, and a coin d is compared only where v - d >= c2: below, greedy
-pays v - d in ones, more coins than v - p takes, so d cannot beat greedy.
-The stretch's length alone picks the path.  A one-shot scan, whose table
-nobody resumes, builds only the entries its checks read.  The fast test
-instead derives a small candidate set from greedy representations of ck-1:
-the minimal counterexample of a non-orderly system always appears among the
-candidates, so checking only those decides the verdict in O(n^3) coin
-operations.
+own entries, and a coin d is compared only where v - d >= c2: below,
+greedy pays v - d in ones, more coins than v - p takes, so d cannot beat
+greedy.  The stretch's length alone picks the path.
+
+A one-shot scan of a large window, whose table nobody resumes, holds its
+greedy counts as 4-byte little-endian lanes of one bytearray and checks a
+coin over a whole block in a few big-int operations.  Guard bits: every
+count stays below 2^31, so setting bit 31 in each lane of grd[p-d+m] and
+subtracting grd[m] leaves each lane 2^31 + grd[p-d+m] - grd[m], strictly
+between 0 and 2^32; no lane borrows from the next, and a lane's bit 31
+is cleared exactly where grd[p-d+m] < grd[m].  The stretch: below cn,
+greedy pays u >= c(n-1) with u // c(n-1) coins c(n-1) and then the
+greedy count of u mod c(n-1), so the amounts from cn - c(n-1) up to cn,
+which only the top coin's checks read, are q + grd[u mod c(n-1)] with
+q = u // c(n-1), and the table stops at c(n-2) + c(n-1), past which
+nothing below cn can fail.  A q of c(n-1) or more beats every count it is
+compared with, grd[m] <= m < c(n-1), so q is capped at c(n-1): the counts
+stay below 2^31 however large cn is.
+
+The fast test instead derives a small candidate set from greedy
+representations of ck-1: the minimal counterexample of a non-orderly
+system always appears among the candidates, so checking only those
+decides the verdict in O(n^3) coin operations.
 """
 
 from __future__ import annotations
@@ -22,7 +37,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import partial
-from itertools import compress, repeat
+from itertools import compress
 from operator import lt
 
 from .core import (
@@ -51,11 +66,17 @@ _CHUNK = 1 << 14  # amounts appended per list built where no amount can fail
 # amounts of a check region tried one by one before the blocks: large check
 # scans time alike from 16 to 128, and 64 keeps every region of the sweeps
 # (at most 39 amounts at their bounds) on the loop; slicing every region
-# made the sweeps 1.5-2.9x slower
+# made the sweeps 1.5-2.9x slower.  The lanes' first block has this many
+# offsets: 64 to 4,096 timed alike on their windows
 _LOOP = 64
+# one-shot windows c(n-1)+cn of at least this many amounts go to the lanes:
+# on the benchmark's check systems the lanes took 1.3-1.5x the list scan's
+# time from 256 to 768 amounts, 1.1x from 768 to 1,024, and 0.9x, 0.75x,
+# 0.6x and 0.3-0.45x from 1,024, 2,048, 4,096 and 10,000 amounts up
+_LANES = 1 << 10
 
 
-def _scan_from(values: tuple[int, ...], grd: list[int], *, keep: bool = True) -> int | None:
+def _scan_from(values: tuple[int, ...], grd: list[int]) -> int | None:
     """Resume the oracle scan of values where grd ends; the first counterexample.
 
     grd holds greedy counts of values from amount 0 up, none failing: [0], or
@@ -80,12 +101,6 @@ def _scan_from(values: tuple[int, ...], grd: list[int], *, keep: bool = True) ->
     a block compares a coin d only from m = c2 + d - p, as below it
     grd[p-d+m] = p-d+m > m >= grd[m]; a coin left with no m is skipped, not
     the last tried, since a smaller coin starts lower.
-
-    keep=False says the caller discards grd, and the scan then builds only
-    what its checks read.  The top coin's checks read grd below c(n-1) and
-    from cn-c(n-1) to cn: its blocks append nothing, and the fill under cn
-    builds only that last stretch, as u // c(n-1) + grd[u mod c(n-1)], over
-    a placeholder.  Entries the scan never reads are unspecified.
     """
     hi = values[-2] + values[-1]
     if len(grd) < values[1]:
@@ -121,18 +136,12 @@ def _scan_from(values: tuple[int, ...], grd: list[int], *, keep: bool = True) ->
                     shifted, block = grd[p - d + a : p - d + lim], grd[a:lim]
                     if any(map(lt, shifted, block)):
                         hit = next(compress(range(a, lim), map(lt, shifted, block)))
-                if keep or end < hi:
-                    grd += [g + 1 for g in grd[m0 : min(hit + 1, m1)]]
+                grd += [g + 1 for g in grd[m0 : min(hit + 1, m1)]]
                 if hit < m1:
                     return p + hit
                 m0, size = m1, min(2 * size, _CHUNK)
         if end == hi:
             return None
-        if not keep and end == values[-1] and len(grd) < end - p:
-            # the top coin's checks read only grd[:p] and grd[end - p : end]
-            q, r = divmod(end - p, p)
-            grd.extend(repeat(0, end - p - len(grd)))
-            grd += [x + q for x in grd[r:p]] + [x + q + 1 for x in grd[:r]]
         while len(grd) < end:
             # greedy on u < end spends u // p coins of p, so u copies u - t*p plus t
             t = max(1, min(len(grd), _CHUNK) // p)
@@ -142,18 +151,117 @@ def _scan_from(values: tuple[int, ...], grd: list[int], *, keep: bool = True) ->
         k += 1
 
 
+def _lanes(x: int, n: int) -> int:
+    """n 4-byte lanes that each hold x, as one int."""
+    return int.from_bytes(x.to_bytes(4, "little") * n, "little")
+
+
+def _lane_fill(grd: bytearray, p: int, end: int) -> None:
+    """Append to the lanes of grd the greedy counts up to amount end, p being
+    the largest coin below end: u copies u - q*p plus q, for the largest q
+    whose copy is already in the table, so each step at most doubles it."""
+    size = len(grd) >> 2
+    while size < end:
+        q = size // p
+        n = min(q * p, end - size)
+        s = size - q * p
+        x = int.from_bytes(grd[4 * s : 4 * (s + n)], "little") + _lanes(q, n)
+        grd += x.to_bytes(4 * n, "little")
+        size += n
+
+
+def _greedy_lanes(grd: bytearray, t: int, u: int, n: int) -> int:
+    """Lanes of the greedy counts of the n amounts from u on, which lie below
+    the top coin: read from the table where it holds them all, and past it
+    built by the stretch rule as q + grd[u mod t], with t the coin below the
+    top, n <= t and q = u // t capped at t (see the module docstring)."""
+    if 4 * (u + n) <= len(grd):
+        return int.from_bytes(grd[4 * u : 4 * (u + n)], "little")
+    q, r = divmod(u, t)
+    q, k = min(q, t), min(n, t - r)
+    x = int.from_bytes(grd[4 * r : 4 * (r + k)], "little") + _lanes(q, k)
+    if k < n:
+        x |= (int.from_bytes(grd[: 4 * (n - k)], "little") + _lanes(q + 1, n - k)) << 32 * k
+    return x
+
+
+def _first_below(x: int, grd: bytearray, m: int, n: int, guard: int) -> int:
+    """The first j < n where lane j of x is below lane m + j of grd, else n.
+    guard sets bit 31 in n lanes or more, a block's worth: past lane n it
+    meets no lane of grd and stays set (see the module docstring for why
+    the guard bits decide).  One over twice n lanes long is cut to n first,
+    so a short comparison in a long block costs about its own lanes."""
+    if 64 * n < guard.bit_length():
+        guard >>= guard.bit_length() - 32 * n
+    f = ((x | guard) - int.from_bytes(grd[4 * m : 4 * (m + n)], "little")) & guard ^ guard
+    return ((f & -f).bit_length() - 1) >> 5 if f else n
+
+
+def _scan_lanes(values: tuple[int, ...], grd: bytearray) -> int | None:
+    """One-shot oracle scan of values over the empty bytearray grd; the
+    first counterexample, or None when orderly.
+
+    The regions and the coins tried are _scan_from's, with every check
+    region in blocks of offsets that double from _LOOP and the same c2
+    bound, each coin compared over a block in one _first_below.  A check
+    reads only amounts below p, so a region is appended by _lane_fill
+    once all its blocks pass, with the amounts after it up to the next
+    coin; the scan ends where it fails.  The coin below the top fills only
+    its check region, which ends by c(n-2)+c(n-1): the top coin's checks
+    read what lies past it through _greedy_lanes, so grd ends with at most
+    min(cn, c(n-2)+c(n-1)) lanes of greedy counts from amount 0 up.
+    """
+    c2, t, top = values[1], values[-2], values[-1]
+    last = len(values) - 1
+    grd += bytes(4)
+    _lane_fill(grd, 1, c2)
+    for k in range(1, last + 1):
+        p, below = values[k], values[k - 1 : 0 : -1]
+        if k < last:
+            end = values[k + 1] if k + 1 < last else min(top, t + values[k - 1])
+        size = min(values[k - 1], end - p) if k < last else t
+        m0, b = 0, _LOOP
+        while m0 < size:
+            m1 = hit = min(m0 + b, size)
+            guard = 0
+            for d in below:
+                lim = min(d, hit)
+                if lim <= m0:
+                    break
+                a = max(m0, c2 + d - p)
+                if a < lim:
+                    guard = guard or _lanes(1 << 31, m1 - m0)
+                    x = _greedy_lanes(grd, t, p - d + a, lim - a)
+                    j = _first_below(x, grd, a, lim - a, guard)
+                    if j < lim - a:
+                        hit = a + j
+            if hit < m1:
+                return p + hit
+            m0, b = m1, 2 * b
+        if k < last:
+            _lane_fill(grd, p, end)
+    return None
+
+
 def _min_counterexample(values: tuple[int, ...]) -> int | None:
     """Smallest amount where greedy is not optimal, or None when orderly.
 
     Scans from amount 1 over the window below c(n-1)+cn, which holds the
-    minimal counterexample of every non-orderly system; the cap bounds that
-    window.  The table is thrown away, so only what the checks read is
-    built; the sweeps resume _scan_from from a parent's full table instead.
+    minimal counterexample of every non-orderly system.  A window of
+    _LANES amounts or more goes to the lanes, and the cap bounds what they
+    hold: the table below min(cn, c(n-2)+c(n-1)) and up to c(n-1) lanes
+    for a block of the top coin's checks.  A smaller one is scanned by
+    _scan_from, and the cap bounds its table, the window.  The sweeps
+    resume _scan_from from a parent's table instead.
     """
     if len(values) <= 2:
         return None
-    _check_cap(values[-2] + values[-1] - 1)
-    return _scan_from(values, [0], keep=False)
+    t, top = values[-2:]
+    if t + top < _LANES:
+        _check_cap(t + top - 1)
+        return _scan_from(values, [0])
+    _check_cap(min(top, values[-3] + t) + t - 1)
+    return _scan_lanes(values, bytearray())
 
 
 def min_counterexample_oracle(system: CoinSystem) -> int | None:
@@ -239,7 +347,9 @@ class CanonicalityReport:
 def _witness(system: CoinSystem, w: int) -> CounterexampleWitness:
     """Greedy and lex-smallest optimal forms of w, which must be the minimal
     counterexample: greedy is optimal below it, so the optimal form is
-    walked down greedy counts and no DP table is built."""
+    walked down greedy counts and no DP table is built.  The cap bounds w,
+    and with it the walk, whichever route found w."""
+    _check_cap(w)
     values = system.values
     greedy = Representation(system, tuple(_greedy_counts(values, w)))
     counts = _lex_smallest_counts(values, w, partial(_greedy_count, values))
@@ -264,7 +374,6 @@ def is_orderly(system: CoinSystem) -> CanonicalityReport:
     m = _failing_candidates(system.values)[-1]
     if m is None:
         return CanonicalityReport(orderly=True, witness=None)
-    _check_cap(m)
     witness = _witness(system, m)
     if witness.greedy_count <= witness.opt_count:
         raise InternalDisagreementError(f"candidate {m} of {system} is not a counterexample")

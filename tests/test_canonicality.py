@@ -1,5 +1,6 @@
 """Tests for orderliness verdicts, witnesses, and the structural checks."""
 
+import struct
 import tracemalloc
 from itertools import combinations
 
@@ -18,7 +19,6 @@ from coinsystems import (
     pattern,
 )
 from coinsystems.canonicality import (
-    _LOOP,
     _candidate_step,
     _candidate_verdict,
     _failing_candidates,
@@ -27,6 +27,7 @@ from coinsystems.canonicality import (
     _optimal_count_vectors,
     _pair_counterexample,
     _scan_from,
+    _scan_lanes,
     _witness,
 )
 from coinsystems.core import _opt_table
@@ -45,6 +46,14 @@ from bruteforce import (
 
 
 # ---------- the oracle ----------
+
+
+def lane_scan(values):
+    """The lane kernel's first counterexample and the greedy counts its
+    table ends with, one per lane."""
+    lanes = bytearray()
+    w = _scan_lanes(values, lanes)
+    return w, list(struct.unpack(f"<{len(lanes) // 4}I", lanes))
 
 
 def test_oracle_known_values():
@@ -89,11 +98,14 @@ def test_scan_matches_reference_exhaustively(loop, monkeypatch):
     greedy counts up to w, or over the whole window when orderly.  Up to
     cn <= 18, every cut of the system's own table resumes to the same w and
     table too.  With one amount checked one by one, every longer check
-    region goes through the blocks.  The one-shot scan finds the same w,
-    and where it reaches the top coin its table holds greedy counts below
-    c(n-1) and from cn - c(n-1) to cn, all that the top coin's checks read."""
+    region goes through the blocks, and the lanes' blocks start at one
+    offset.  The one-shot oracle, sent to the lanes whatever the window,
+    finds the same w, and its table holds greedy counts and stops by
+    min(cn, c(n-2)+c(n-1)), past which the top coin's checks read the
+    stretch rule."""
     if loop:
         monkeypatch.setattr("coinsystems.canonicality._LOOP", loop)
+    monkeypatch.setattr("coinsystems.canonicality._LANES", 0)
     tables = {}
     for n in range(3, 6):
         for rest in combinations(range(2, 25), n - 1):
@@ -103,11 +115,10 @@ def test_scan_matches_reference_exhaustively(loop, monkeypatch):
             assert _scan_from(values, grd) == w, values
             stop = values[-2] + values[-1] if w is None else w + 1
             assert grd == [ref_greedy_count(values, u) for u in range(stop)], values
-            one = [0]
-            assert _scan_from(values, one, keep=False) == w == _min_counterexample(values)
-            t, c = values[-2:]
-            if w is None or w > c:
-                assert one[:t] + one[c - t : c] == grd[:t] + grd[c - t : c], values
+            lw, table = lane_scan(values)
+            assert lw == w == _min_counterexample(values), values
+            s, t, c = values[-3:]
+            assert len(table) <= min(c, s + t) and table == grd[: len(table)], values
             if values[-1] <= 18:
                 for cut in range(1, len(grd)):
                     cgrd = grd[:cut]
@@ -141,9 +152,9 @@ def test_scan_matches_reference_exhaustively(loop, monkeypatch):
         (1, 600, 900),
         (1, 200, 273),
         (1, 300, 600, 900, 1200, 1500),
-        # top coin above 2c(n-1) + c(n-2), so a one-shot scan leaves a
-        # placeholder under cn - c(n-1): first failures in the top coin's
-        # blocks at 500 + 100 and 700 + 100, and an orderly system
+        # top coin above 2c(n-1) + c(n-2), so the lanes' top coin reads the
+        # stretch past their table: first failures in the top coin's blocks
+        # at 500 + 100 and 700 + 100, and an orderly system
         (1, 200, 500),
         (1, 3, 200, 700),
         (1, 200, 800),
@@ -163,8 +174,8 @@ def test_scan_fills_wide_gaps(values, chunk, monkeypatch):
     and a coin d only from offset c2 + d - p on: below it p - d + m < c2 is
     paid in ones, so grd[p-d+m] = p - d + m > m >= grd[m] cannot fail.  A
     coin with no offset left is skipped while a smaller coin, whose bound is
-    lower, is still tried.  The one-shot scan finds the same amount, and the
-    top coin's blocks append nothing to its table."""
+    lower, is still tried.  The lanes find the same amount, and their table
+    holds greedy counts and stops by min(cn, c(n-2)+c(n-1))."""
     if chunk:
         monkeypatch.setattr("coinsystems.canonicality._CHUNK", chunk)
 
@@ -181,9 +192,10 @@ def test_scan_fills_wide_gaps(values, chunk, monkeypatch):
     grd = [0]
     assert _scan_from(values, grd) == w
     assert grd == greedy[: hi if w is None else w + 1]
-    one = [0]
-    assert _scan_from(values, one, keep=False) == w == _min_counterexample(values)
-    assert len(one) <= values[-1] + _LOOP
+    lw, table = lane_scan(values)
+    assert lw == w == _min_counterexample(values)
+    assert len(table) <= min(values[-1], values[-3] + values[-2])
+    assert table == greedy[: len(table)]
 
 
 def test_block_comparisons_start_where_greedy_stops_paying_in_ones(monkeypatch):
@@ -191,20 +203,81 @@ def test_block_comparisons_start_where_greedy_stops_paying_in_ones(monkeypatch):
     check of the benchmark's queries stream makes a handful of comparisons
     (292,567 with every coin compared from the block's first offset), and a
     system with c2 = 3, where the bound never passes a block's first offset,
-    makes as many as without it.  Counts repeat exactly; times do not."""
-    count = 0
+    makes as many as without it.  The lanes take the same bound: a coin is
+    compared over a block in one operation, 5 of them on the first system
+    and 110 on the second, each over the whole stretch of the block it
+    checks.  Counts repeat exactly; times do not."""
+    import coinsystems.canonicality as canonicality
+
+    count = lanes = 0
+    first_below = canonicality._first_below
 
     def counting_lt(a, b):
         nonlocal count
         count += 1
         return a < b
 
+    def counting_first_below(x, grd, m, n, guard):
+        nonlocal count, lanes
+        count, lanes = count + 1, lanes + n
+        return first_below(x, grd, m, n, guard)
+
+    slow = (1, 53350, 57904, 58860, 58901, 60348, 69817)
+    small_c2 = (1, 3, 9, 32, 86, 254, 721, 2290, 8888, 24120, 91179)
     monkeypatch.setattr("coinsystems.canonicality.lt", counting_lt)
-    assert _min_counterexample((1, 53350, 57904, 58860, 58901, 60348, 69817)) == 106_700
+    assert _scan_from(slow, [0]) == 106_700
     assert count <= 100
     count = 0
-    assert _min_counterexample((1, 3, 9, 32, 86, 254, 721, 2290, 8888, 24120, 91179)) is None
+    assert _scan_from(small_c2, [0]) is None
     assert count == 52_092
+    monkeypatch.setattr("coinsystems.canonicality._first_below", counting_first_below)
+    count = 0
+    assert _min_counterexample(slow) == 106_700
+    assert (count, lanes) == (5, 23_465)
+    count = lanes = 0
+    assert _min_counterexample(small_c2) is None
+    assert (count, lanes) == (110, 53_759)
+
+
+@pytest.mark.parametrize(
+    "values, w",
+    [
+        ((1, 3, 9, 25, 65, 177, 529, 1697, 4385, 12913, 36513, 68641), None),
+        ((1, 21923, 55129, 82173), 65_769),
+        ((1, 3, 4, 9_999_999), 6),
+        ((1, 2, 10**15), None),
+    ],
+)
+def test_lanes_known_values(values, w):
+    """Large windows go to the lanes, whose table holds greedy counts and
+    stops by min(cn, c(n-2)+c(n-1)) lanes: an orderly system of twelve
+    coins, a failure in the top coin's stretch, and two top coins far past
+    the cap, whose windows the cap once refused; (1, 2, 10**15) needs q
+    capped to keep its counts in the lanes."""
+    lw, table = lane_scan(values)
+    assert _min_counterexample(values) == lw == w
+    assert len(table) <= min(values[-1], values[-3] + values[-2])
+    if values[-1] < 10**6:
+        grd = [0]
+        assert _scan_from(values, grd) == w
+        assert table == grd[: len(table)]
+    else:
+        assert table == [ref_greedy_count(values, u) for u in range(len(table))]
+
+
+def test_lanes_hold_a_few_bytes_per_amount():
+    """The lanes of an orderly system of twelve coins, the table's 49,426
+    amounts and the blocks of its top coin's checks, peak under 10 bytes
+    per amount of c(n-2) + 2c(n-1) (about 7 on CPython 3.11); the list
+    tables take about 40."""
+    values = (1, 3, 9, 25, 65, 177, 529, 1697, 4385, 12913, 36513, 68641)
+    tracemalloc.start()
+    try:
+        assert _min_counterexample(values) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * (values[-3] + 2 * values[-2])
 
 
 def _dp_first_failure(values):
@@ -225,19 +298,19 @@ def _dp_first_failure(values):
 @settings(max_examples=100, deadline=None)
 def test_long_regions_match_the_dp_and_resume(parent, data):
     """With c2 >= 65 the check regions outlast the amounts tried one by one,
-    so the blocks and their bound c2 + d - p decide.  The full and the
-    one-shot scan find the DP's first failure, and a child resumed from its
-    parent's table cut at its new coin builds the same w and table as a
-    scan from amount 0."""
+    so the blocks and their bound c2 + d - p decide.  The full scan, the
+    one-shot oracle and the lanes find the DP's first failure, and a child
+    resumed from its parent's table cut at its new coin builds the same w
+    and table as a scan from amount 0."""
     grd = [0]
     pw = _scan_from(parent, grd)
-    assert pw == _min_counterexample(parent) == _dp_first_failure(parent)
+    assert pw == _min_counterexample(parent) == lane_scan(parent)[0] == _dp_first_failure(parent)
     cap = 1500 if pw is None else min(pw, 1500)
     if cap > parent[-1]:
         child = parent + (data.draw(st.integers(parent[-1] + 1, cap)),)
         full = [0]
         w = _scan_from(child, full)
-        assert w == _min_counterexample(child) == _dp_first_failure(child)
+        assert w == _min_counterexample(child) == lane_scan(child)[0] == _dp_first_failure(child)
         resumed = grd[: child[-1]]
         assert _scan_from(child, resumed) == w
         assert resumed == full
@@ -270,8 +343,8 @@ def test_oracle_memory_per_scanned_amount():
 
 def test_one_shot_oracle_builds_only_what_it_reads():
     """(1, 2, 999999) checks only the amounts from 999999 up, which read the
-    table below 2 and from 999997: the stretch under them is a placeholder
-    of one shared int, a list slot per amount, not a slot and an int."""
+    table below 2 and, by the stretch rule, from 999997: the lanes hold the
+    three counts below c(n-2) + c(n-1) = 3."""
     system = CoinSystem((1, 2, 999_999))
     tracemalloc.start()
     try:
@@ -342,7 +415,7 @@ def test_candidate_route_uses_no_dp_table(monkeypatch):
         raise AssertionError("DP table or oracle scan used")
 
     for module in (core, canonicality):
-        for name in ("_scan_from", "_min_counterexample", "_opt_table"):
+        for name in ("_scan_from", "_scan_lanes", "_min_counterexample", "_opt_table"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, boom)
     for v, (fails, marks, report) in zip(systems, expected):

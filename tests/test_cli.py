@@ -375,15 +375,17 @@ def test_witness_disagreement_exits_three(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["check", "1,3,4,100000000"],
-        ["check", "--oracle", "1,2,100000000"],
+        ["check", "1,5000001,5000002"],
+        ["check", "--oracle", "1,2,6000000,9000000"],
         ["enumerate", "--n", "3", "--max", "5000002"],
         ["conjecture", "--n", "5", "--max", "5000002"],
     ],
 )
 def test_resource_limit_is_a_usage_error(capsys, argv):
-    """A window beyond the DP table cap, of one system or of the widest in a
-    sweep, exits 2 with one line, no traceback."""
+    """A table beyond the DP table cap exits 2 with one line, no traceback:
+    the oracle's lanes for one system, min(cn, c(n-2)+c(n-1)) + c(n-1)
+    of them (10,000,003 and 12,000,002 here), or the widest window of a
+    sweep."""
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -445,6 +447,49 @@ def test_jobs_below_one_is_a_usage_error(capsys, command, jobs):
         main(command + ["--max", "10", "--jobs", jobs])
     assert err.value.code == 2
     assert "--jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "system, w",
+    [("1,3,4,9999999", 6), ("1,3,4,100000000", 6), ("1,2,1000000000000000", None)],
+)
+@pytest.mark.parametrize("flags", [[], ["--oracle"]])
+def test_oracle_answers_past_its_window(capsys, system, w, flags):
+    """The oracle's lanes stop below c(n-2)+c(n-1) and read the top coin's
+    stretch by rule, so a top coin far past the cap is answered."""
+    code, records = run_json(capsys, ["check", system, *flags])
+    assert code == 0
+    assert records[0]["orderly"] is (w is None)
+    assert records[0].get("min_counterexample") == w
+
+
+@pytest.mark.parametrize("flags", [[], ["--oracle"], ["--pearson"]])
+def test_check_caps_the_witness_walk(capsys, monkeypatch, flags):
+    """(1, 6, 25) fails at 30, while the oracle's lanes come to 13: a table
+    of 7 and a block of 6 for the top coin.  At a cap of 20 the oracle
+    routes still scan, and every route refuses the walk to 30's optimal
+    form."""
+    monkeypatch.setattr("coinsystems.core.DEFAULT_VALUE_CAP", 20)
+    monkeypatch.setattr("coinsystems.canonicality._LANES", 0)
+    assert main(["check", "1,6,25", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: amount 30 exceeds the DP table cap 20\n"
+
+
+def test_help_formats_in_a_fresh_interpreter():
+    """--help of the program and of each subcommand exits 0 with its usage
+    on stdout; a help string argparse cannot format fails here."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(coinsystems.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    commands = ["check", "pattern", "classify", "family", "enumerate", "conjecture"]
+    for argv in [[], *([c] for c in commands)]:
+        run = subprocess.run(
+            [sys.executable, "-m", "coinsystems", *argv, "--help"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (run.returncode, run.stderr) == (0, ""), argv
+        assert run.stdout.startswith(f"usage: coinsystems {' '.join(argv)}".rstrip()), argv
 
 
 # ---------- several commands in one process ----------

@@ -152,8 +152,9 @@ def test_opt_below_c2_uses_units():
 
 def test_opt_respects_value_cap(monkeypatch):
     """The one cap, read at call time, guards every DP table: optimal counts,
-    the oracle's window below c(n-1)+cn, and the candidate test's minimal
-    counterexample M."""
+    the oracle's table (the window below c(n-1)+cn on a small window, the
+    lanes on a large one), and the minimal counterexample M whose optimal
+    form a witness walks."""
     monkeypatch.setattr("coinsystems.core.DEFAULT_VALUE_CAP", 10)
     c = CoinSystem((1, 2))
     assert opt_count(c, 10) == 5
