@@ -12,19 +12,26 @@ greedy pays v - d in ones, more coins than v - p takes, so d cannot beat
 greedy.  The stretch's length alone picks the path.
 
 A one-shot scan of a large window, whose table nobody resumes, holds its
-greedy counts as 4-byte little-endian lanes of one bytearray and checks a
-coin over a whole block in a few big-int operations.  Guard bits: every
-count stays below 2^31, so setting bit 31 in each lane of grd[p-d+m] and
-subtracting grd[m] leaves each lane 2^31 + grd[p-d+m] - grd[m], strictly
-between 0 and 2^32; no lane borrows from the next, and a lane's bit 31
-is cleared exactly where grd[p-d+m] < grd[m].  The stretch: below cn,
-greedy pays u >= c(n-1) with u // c(n-1) coins c(n-1) and then the
+greedy counts as B-byte little-endian lanes of one bytearray and checks a
+coin over a whole block in a few big-int operations.  The stretch: below
+cn, greedy pays u >= c(n-1) with u // c(n-1) coins c(n-1) and then the
 greedy count of u mod c(n-1), so the amounts from cn - c(n-1) up to cn,
 which only the top coin's checks read, are q + grd[u mod c(n-1)] with
-q = u // c(n-1), and the table stops at c(n-2) + c(n-1), past which
-nothing below cn can fail.  A q of c(n-1) or more beats every count it is
-compared with, grd[m] <= m < c(n-1), so q is capped at c(n-1): the counts
-stay below 2^31 however large cn is.
+q = u // c(n-1), and the table stops at E = min(cn, c(n-2) + c(n-1)),
+past which nothing below cn can fail.  The width: an amount u below E
+with largest coin ck is paid u // ck <= (min(c(k+1), E) - 1) // ck coins
+ck and then greedy(u mod ck), u mod ck < ck, and an amount below c2 in at
+most c2 - 1 ones.  So G, which is c2 - 1 plus that quotient for each coin
+ck < E, clamped at E - 1 as greedy(u) <= u, bounds every count in the
+table.  A read past the table with q >= G is at least G, never below a
+count it is compared with, however large q is, so capping q at G changes
+no comparison, and every read past the table holds at most G + G + 1,
+the +1 where it wraps past a multiple of c(n-1).  B is the smallest
+width with 2G+1 below 2^(8B-1).  Guard bits: setting bit 8B-1 in each
+lane of grd[p-d+m] and subtracting grd[m] <= G leaves each lane
+2^(8B-1) + grd[p-d+m] - grd[m], strictly between 0 and 2^(8B); no lane
+borrows from the next, and a lane's bit 8B-1 is cleared exactly where
+grd[p-d+m] < grd[m].
 
 The fast test instead derives a small candidate set from greedy
 representations of ck-1: the minimal counterexample of a non-orderly
@@ -70,9 +77,10 @@ _CHUNK = 1 << 14  # amounts appended per list built where no amount can fail
 # offsets: 64 to 4,096 timed alike on their windows
 _LOOP = 64
 # one-shot windows c(n-1)+cn of at least this many amounts go to the lanes:
-# on the benchmark's check systems the lanes took 1.3-1.5x the list scan's
-# time from 256 to 768 amounts, 1.1x from 768 to 1,024, and 0.9x, 0.75x,
-# 0.6x and 0.3-0.45x from 1,024, 2,048, 4,096 and 10,000 amounts up
+# on the benchmark's check systems the lanes took 1.4-1.5x the list scan's
+# time from 256 to 512 amounts, 1.1-1.2x from 512 to 768, 0.95-1.03x from
+# 768 to 1,024, and 0.8-0.87x, 0.6-0.67x, 0.45-0.49x and 0.3x from 1,024,
+# 2,048, 4,096 and 10,000 amounts up
 _LANES = 1 << 10
 
 
@@ -151,60 +159,80 @@ def _scan_from(values: tuple[int, ...], grd: list[int]) -> int | None:
         k += 1
 
 
-def _lanes(x: int, n: int) -> int:
-    """n 4-byte lanes that each hold x, as one int."""
-    return int.from_bytes(x.to_bytes(4, "little") * n, "little")
+def _lane_width(values: tuple[int, ...]) -> tuple[int, int]:
+    """(G, B) for the lanes of values: G bounds every greedy count below the
+    table end E = min(cn, c(n-2)+c(n-1)), and B, the bytes of a lane, is
+    the smallest with 2G+1 < 2^(8B-1) (see the module docstring)."""
+    e = min(values[-1], values[-3] + values[-2])
+    g = values[1] - 1
+    for c, nxt in zip(values[1:], values[2:]):
+        if c >= e:
+            break
+        g += (min(nxt, e) - 1) // c
+    g = min(g, e - 1)
+    return g, ((2 * g + 1).bit_length() + 8) // 8
 
 
-def _lane_fill(grd: bytearray, p: int, end: int) -> None:
-    """Append to the lanes of grd the greedy counts up to amount end, p being
-    the largest coin below end: u copies u - q*p plus q, for the largest q
-    whose copy is already in the table, so each step at most doubles it."""
-    size = len(grd) >> 2
+def _lanes(x: int, n: int, b: int) -> int:
+    """n b-byte lanes that each hold x, as one int."""
+    return int.from_bytes(x.to_bytes(b, "little") * n, "little")
+
+
+def _lane_fill(grd: bytearray, p: int, end: int, b: int) -> None:
+    """Append to the b-byte lanes of grd the greedy counts up to amount end,
+    p being the largest coin below end: u copies u - q*p plus q, for the
+    largest q whose copy is already in the table, so each step at most
+    doubles it.  The counts lie below E, so G bounds them and no lane
+    overflows."""
+    size = len(grd) // b
     while size < end:
         q = size // p
         n = min(q * p, end - size)
         s = size - q * p
-        x = int.from_bytes(grd[4 * s : 4 * (s + n)], "little") + _lanes(q, n)
-        grd += x.to_bytes(4 * n, "little")
+        x = int.from_bytes(grd[b * s : b * (s + n)], "little") + _lanes(q, n, b)
+        grd += x.to_bytes(b * n, "little")
         size += n
 
 
-def _greedy_lanes(grd: bytearray, t: int, u: int, n: int) -> int:
-    """Lanes of the greedy counts of the n amounts from u on, which lie below
-    the top coin: read from the table where it holds them all, and past it
-    built by the stretch rule as q + grd[u mod t], with t the coin below the
-    top, n <= t and q = u // t capped at t (see the module docstring)."""
-    if 4 * (u + n) <= len(grd):
-        return int.from_bytes(grd[4 * u : 4 * (u + n)], "little")
+def _greedy_lanes(grd: bytearray, t: int, u: int, n: int, g: int, b: int) -> int:
+    """b-byte lanes of the greedy counts of the n amounts from u on, which
+    lie below the top coin: read from the table where it holds them all,
+    and past it built by the stretch rule as q + grd[u mod t], with t the
+    coin below the top, n <= t and q = u // t capped at G = g, so a lane
+    holds at most 2G+1 (see the module docstring)."""
+    if b * (u + n) <= len(grd):
+        return int.from_bytes(grd[b * u : b * (u + n)], "little")
     q, r = divmod(u, t)
-    q, k = min(q, t), min(n, t - r)
-    x = int.from_bytes(grd[4 * r : 4 * (r + k)], "little") + _lanes(q, k)
+    q, k = min(q, g), min(n, t - r)
+    x = int.from_bytes(grd[b * r : b * (r + k)], "little") + _lanes(q, k, b)
     if k < n:
-        x |= (int.from_bytes(grd[: 4 * (n - k)], "little") + _lanes(q + 1, n - k)) << 32 * k
+        x |= (int.from_bytes(grd[: b * (n - k)], "little") + _lanes(q + 1, n - k, b)) << 8 * b * k
     return x
 
 
-def _first_below(x: int, grd: bytearray, m: int, n: int, guard: int) -> int:
-    """The first j < n where lane j of x is below lane m + j of grd, else n.
-    guard sets bit 31 in n lanes or more, a block's worth: past lane n it
-    meets no lane of grd and stays set (see the module docstring for why
-    the guard bits decide).  One over twice n lanes long is cut to n first,
-    so a short comparison in a long block costs about its own lanes."""
-    if 64 * n < guard.bit_length():
-        guard >>= guard.bit_length() - 32 * n
-    f = ((x | guard) - int.from_bytes(grd[4 * m : 4 * (m + n)], "little")) & guard ^ guard
-    return ((f & -f).bit_length() - 1) >> 5 if f else n
+def _first_below(x: int, grd: bytearray, m: int, n: int, guard: int, b: int) -> int:
+    """The first j < n where b-byte lane j of x is below lane m + j of grd,
+    else n.  guard sets bit 8b-1 in n lanes or more, a block's worth: past
+    lane n it meets no lane of grd and stays set (see the module docstring
+    for why the guard bits decide).  One over twice n lanes long is cut to
+    n first, so a short comparison in a long block costs about its own
+    lanes."""
+    bits = 8 * b
+    if 2 * bits * n < guard.bit_length():
+        guard >>= guard.bit_length() - bits * n
+    f = ((x | guard) - int.from_bytes(grd[b * m : b * (m + n)], "little")) & guard ^ guard
+    return ((f & -f).bit_length() - 1) // bits if f else n
 
 
 def _scan_lanes(values: tuple[int, ...], grd: bytearray) -> int | None:
     """One-shot oracle scan of values over the empty bytearray grd; the
     first counterexample, or None when orderly.
 
-    The regions and the coins tried are _scan_from's, with every check
-    region in blocks of offsets that double from _LOOP and the same c2
-    bound, each coin compared over a block in one _first_below.  A check
-    reads only amounts below p, so a region is appended by _lane_fill
+    The lanes are B bytes wide, B and the stretch's cap G taken from
+    _lane_width.  The regions and the coins tried are _scan_from's, with
+    every check region in blocks of offsets that double from _LOOP and the
+    same c2 bound, each coin compared over a block in one _first_below.  A
+    check reads only amounts below p, so a region is appended by _lane_fill
     once all its blocks pass, with the amounts after it up to the next
     coin; the scan ends where it fails.  The coin below the top fills only
     its check region, which ends by c(n-2)+c(n-1): the top coin's checks
@@ -213,16 +241,17 @@ def _scan_lanes(values: tuple[int, ...], grd: bytearray) -> int | None:
     """
     c2, t, top = values[1], values[-2], values[-1]
     last = len(values) - 1
-    grd += bytes(4)
-    _lane_fill(grd, 1, c2)
+    g, b = _lane_width(values)
+    grd += bytes(b)
+    _lane_fill(grd, 1, c2, b)
     for k in range(1, last + 1):
         p, below = values[k], values[k - 1 : 0 : -1]
         if k < last:
             end = values[k + 1] if k + 1 < last else min(top, t + values[k - 1])
         size = min(values[k - 1], end - p) if k < last else t
-        m0, b = 0, _LOOP
+        m0, span = 0, _LOOP
         while m0 < size:
-            m1 = hit = min(m0 + b, size)
+            m1 = hit = min(m0 + span, size)
             guard = 0
             for d in below:
                 lim = min(d, hit)
@@ -230,16 +259,16 @@ def _scan_lanes(values: tuple[int, ...], grd: bytearray) -> int | None:
                     break
                 a = max(m0, c2 + d - p)
                 if a < lim:
-                    guard = guard or _lanes(1 << 31, m1 - m0)
-                    x = _greedy_lanes(grd, t, p - d + a, lim - a)
-                    j = _first_below(x, grd, a, lim - a, guard)
+                    guard = guard or _lanes(1 << 8 * b - 1, m1 - m0, b)
+                    x = _greedy_lanes(grd, t, p - d + a, lim - a, g, b)
+                    j = _first_below(x, grd, a, lim - a, guard, b)
                     if j < lim - a:
                         hit = a + j
             if hit < m1:
                 return p + hit
-            m0, b = m1, 2 * b
+            m0, span = m1, 2 * span
         if k < last:
-            _lane_fill(grd, p, end)
+            _lane_fill(grd, p, end, b)
     return None
 
 
@@ -248,11 +277,12 @@ def _min_counterexample(values: tuple[int, ...]) -> int | None:
 
     Scans from amount 1 over the window below c(n-1)+cn, which holds the
     minimal counterexample of every non-orderly system.  A window of
-    _LANES amounts or more goes to the lanes, and the cap bounds what they
-    hold: the table below min(cn, c(n-2)+c(n-1)) and up to c(n-1) lanes
-    for a block of the top coin's checks.  A smaller one is scanned by
-    _scan_from, and the cap bounds its table, the window.  The sweeps
-    resume _scan_from from a parent's table instead.
+    _LANES amounts or more goes to the lanes, as narrow as the bound G on
+    the system's greedy counts allows, and the cap bounds how many lanes
+    they hold, whatever their width: the table below min(cn, c(n-2)+c(n-1))
+    and up to c(n-1) lanes for a block of the top coin's checks.  A smaller
+    one is scanned by _scan_from, and the cap bounds its table, the window.
+    The sweeps resume _scan_from from a parent's table instead.
     """
     if len(values) <= 2:
         return None

@@ -1,8 +1,7 @@
 """Tests for orderliness verdicts, witnesses, and the structural checks."""
 
-import struct
 import tracemalloc
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import pytest
 from hypothesis import assume, given, settings
@@ -22,6 +21,8 @@ from coinsystems.canonicality import (
     _candidate_step,
     _candidate_verdict,
     _failing_candidates,
+    _greedy_lanes,
+    _lane_width,
     _level_candidates,
     _min_counterexample,
     _optimal_count_vectors,
@@ -30,7 +31,7 @@ from coinsystems.canonicality import (
     _scan_lanes,
     _witness,
 )
-from coinsystems.core import _opt_table
+from coinsystems.core import _greedy_count, _opt_table
 
 from bruteforce import (
     coin_values,
@@ -53,7 +54,9 @@ def lane_scan(values):
     table ends with, one per lane."""
     lanes = bytearray()
     w = _scan_lanes(values, lanes)
-    return w, list(struct.unpack(f"<{len(lanes) // 4}I", lanes))
+    b = _lane_width(values)[1]
+    assert len(lanes) % b == 0
+    return w, [int.from_bytes(lanes[i : i + b], "little") for i in range(0, len(lanes), b)]
 
 
 def test_oracle_known_values():
@@ -217,10 +220,10 @@ def test_block_comparisons_start_where_greedy_stops_paying_in_ones(monkeypatch):
         count += 1
         return a < b
 
-    def counting_first_below(x, grd, m, n, guard):
+    def counting_first_below(x, grd, m, n, guard, b):
         nonlocal count, lanes
         count, lanes = count + 1, lanes + n
-        return first_below(x, grd, m, n, guard)
+        return first_below(x, grd, m, n, guard, b)
 
     slow = (1, 53350, 57904, 58860, 58901, 60348, 69817)
     small_c2 = (1, 3, 9, 32, 86, 254, 721, 2290, 8888, 24120, 91179)
@@ -252,8 +255,8 @@ def test_lanes_known_values(values, w):
     """Large windows go to the lanes, whose table holds greedy counts and
     stops by min(cn, c(n-2)+c(n-1)) lanes: an orderly system of twelve
     coins, a failure in the top coin's stretch, and two top coins far past
-    the cap, whose windows the cap once refused; (1, 2, 10**15) needs q
-    capped to keep its counts in the lanes."""
+    the cap, whose windows the cap once refused; (1, 2, 10**15) reads q up
+    to 5 * 10**14 past its table, capped at G = 2 to fit its 1-byte lanes."""
     lw, table = lane_scan(values)
     assert _min_counterexample(values) == lw == w
     assert len(table) <= min(values[-1], values[-3] + values[-2])
@@ -278,6 +281,83 @@ def test_lanes_hold_a_few_bytes_per_amount():
     finally:
         tracemalloc.stop()
     assert peak < 10 * (values[-3] + 2 * values[-2])
+
+
+# systems whose G lies on each side of each lane-width edge, G = 63 | 64
+# (1 | 2 bytes), 16383 | 16384 (2 | 3) and 4194303 | 4194304 (3 | 4), and
+# inside the bands where one bit less would pick the narrower width; with
+# three coins G = c2, and the top coin's checks read amounts with q past G
+_WIDTH_EDGES = [
+    (1, 63, 63 * 67 + 5),
+    (1, 64, 64 * 68 + 5),
+    (1, 100, 100 * 104 + 7),
+    (1, 127, 127 * 131 + 3),
+    (1, 2, 122, 124, 8019),  # G = 63, fails at 244
+    (1, 2, 123, 7878),  # G = 63
+    (1, 2, 125, 8151),  # G = 64
+    (1, 16383, 40000),  # fails at 49,149
+    (1, 16384, 40000),
+    (1, 16383, 16383 * 16386 + 5),
+    (1, 16384, 16384 * 16387 + 5),
+    (1, 20000, 20000 * 20003 + 3),
+    (1, 4194303, 4194303 * 4194306 + 7),
+    (1, 5_000_000, 5_000_000 * 5_000_003 + 3),
+    (1, 2, 10**15),
+]
+
+
+@pytest.mark.parametrize("values", _WIDTH_EDGES)
+def test_lanes_match_the_dp_across_width_edges(values):
+    """Either side of each width edge the lanes find the DP's first failure
+    (the candidate test's, where the window is too large for the DP), and
+    their table holds the greedy counts.  The top coin's reads past the
+    table are exact greedy counts while q = u // c(n-1) is at most G, and
+    past it lie from G, above every count the table holds, up to 2G+1,
+    below the guard bit."""
+    g, b = _lane_width(values)
+    assert 2 * g + 1 < 1 << 8 * b - 1 and (b == 1 or 2 * g + 1 >= 1 << 8 * b - 9)
+    grd = bytearray()
+    w = _scan_lanes(values, grd)
+    if values[-2] + values[-1] <= 20_000:
+        assert w == _dp_first_failure(values)
+    else:
+        assert w == _failing_candidates(values)[-1]
+    head = grd[: 20_000 * b]
+    counts = (_greedy_count(values, u) for u in range(len(head) // b))
+    assert head == b"".join(c.to_bytes(b, "little") for c in counts)
+    t, top = values[-2:]
+    e = min(top, values[-3] + t)
+    if top <= (g + 3) * t or e > 20_000:
+        return
+    for u in ((g - 1) * t + t // 2, g * t, g * t + t // 2, (g + 1) * t + 1, top - t):
+        x = _greedy_lanes(grd, t, u, t, g, b).to_bytes(b * t, "little")
+        for j in range(t):
+            lane = int.from_bytes(x[b * j : b * (j + 1)], "little")
+            if (u + j) // t <= g:
+                assert lane == _greedy_count(values, u + j), (u, j)
+            else:
+                assert g <= lane <= 2 * g + 1, (u, j)
+
+
+def test_greedy_bound_covers_the_table_exhaustively():
+    """For every system with n <= 5 and cn <= 60, G is at least every
+    greedy count below E = min(cn, c(n-2)+c(n-1)), the table the lanes
+    hold.  Those counts are the prefix's: a prefix's greedy counts up to
+    60 are its parent's below its top coin c, and 1 + grd[u - c] above."""
+    stack = [((1,), list(range(61)))]
+    while stack:
+        prefix, grd = stack.pop()
+        if len(prefix) >= 2:
+            most = list(accumulate(grd, max))
+            s, t = prefix[-2:]
+            for c in range(t + 1, 61):
+                assert _lane_width(prefix + (c,))[0] >= most[min(c, s + t) - 1], prefix + (c,)
+        if len(prefix) < 4:
+            for c in range(prefix[-1] + 1, 60):
+                child = grd[:c]
+                for u in range(c, 61):
+                    child.append(child[u - c] + 1)
+                stack.append((prefix + (c,), child))
 
 
 def _dp_first_failure(values):

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import pytest
 
 import coinsystems
-from coinsystems import InternalDisagreementError, search
+from coinsystems import InternalDisagreementError, canonicality, search
 from coinsystems.cli import _build_parser, main
 
 from bruteforce import ref_greedy_counts, ref_lex_smallest_optimal, ref_min_counterexample
@@ -461,6 +461,27 @@ def test_oracle_answers_past_its_window(capsys, system, w, flags):
     assert code == 0
     assert records[0]["orderly"] is (w is None)
     assert records[0].get("min_counterexample") == w
+
+
+@pytest.mark.parametrize(
+    "system, width",
+    [
+        ("1,3,9,25,65,177,529,1697,4385,12913,36513,68641", 1),
+        ("1,199,1250,5000", 2),
+        ("1,21923,55129,82173", 3),
+        ("1,4194304,12582912", 4),
+    ],
+)
+def test_check_routes_agree_on_every_lane_width(capsys, system, width):
+    """check, check --oracle and check --pearson print the same record on a
+    lane-route system of each lane width."""
+    values = tuple(int(v) for v in system.split(","))
+    assert values[-2] + values[-1] >= canonicality._LANES
+    assert canonicality._lane_width(values)[1] == width
+    flags = ([], ["--oracle"], ["--pearson"])
+    runs = [run_json(capsys, ["check", system, *f]) for f in flags]
+    assert runs[0][0] == 0 and len(runs[0][1]) == 1
+    assert runs[1] == runs[2] == runs[0]
 
 
 @pytest.mark.parametrize("flags", [[], ["--oracle"], ["--pearson"]])
