@@ -479,6 +479,14 @@ def _pair_counterexample(bits: int, y: int, c: int) -> int | None:
     unless x - g is a coin.  Taking x = t, an orderly system has c >= 2t or
     c = 2t - p for a coin p.  An amount returned lies below c(n-1) + c and
     proves the system is not orderly; None proves nothing.
+
+    The lemma as a mask (search._lemma_masks).  For coins C with top y, let
+    S hold each s >= 1 such that every coin x > s has x - s in C.  Bit
+    i >= 1 of bits >> s is set exactly for a coin i + s, so this returns
+    None for c = y + s iff s is in S.  A new top coin z keeps each old
+    coin's condition, as x - s < z, and adds only that z - s, below z, be
+    a coin when s < z: S' = S & ({z - x : x in C} | [z, inf)).  With bit
+    M - x of R set for each coin x <= M, R >> (M - z) holds the z - x.
     """
     t = (bits >> (c - y)) & ~1 & ~bits
     return c + (t & -t).bit_length() - 1 if t else None

@@ -27,15 +27,21 @@ non-orderly 4-prefixes, each scanned from [0].  Below them a non-orderly
 node is descended while a longer length is requested, and an orderly node at
 a requested length is a finding.  A subtree whose added coins all exceed the
 inherited w keeps w at every leaf, so it holds no finding and is skipped.
-As in the census, only a node whose children are all leaves takes the lemma
-before its scan, and _orderly_leaves settles those leaves, nodes no longer
-length can grow from.
+As in the census, a node whose children are all leaves, nodes no longer
+length can grow from, takes the lemma before its scan, and _orderly_leaves
+settles those leaves.  Here the lemma is a bit of a mask carried down the
+tree (_lemma_masks) whose bits name the leaves it passes, so a node it
+rejects with each leaf is dropped at once.  A node whose children are all
+such nodes or leaves takes it too: rejected, it keeps its lemma amount as w
+until a child needs its table, and then the children above w are dropped.
 
 Both sweeps spot-check the verdicts they compute for one sample: a prefix of
 at most four coins when its _fingerprint is a multiple of the sample
 modulus, a longer one when its 4-prefix is.  A deferred node is checked on
-its lemma amount and on its w.  An orderly verdict is checked by the oracle
-from amount 1, a failing amount by greedy counts alone (_spot_check).
+its lemma amount and on its w; in the sample the scan drops no node by its
+mask and defers only nodes with only leaf children.  An orderly verdict is
+checked by the oracle from amount 1, a failing amount by greedy counts alone
+(_spot_check).
 
 The agreement sweep iterates _oracle_walk, which yields each prefix in
 preorder with its first failure w (a child inherits w under a larger coin,
@@ -100,6 +106,13 @@ def _spot_check(values: tuple[int, ...], w: int | None) -> None:
         raise InternalDisagreementError(f"sweep witness {w} is not a counterexample of {values}")
 
 
+def _lemma_masks(S: int, R: int, max_cn: int, c: int) -> tuple[int, int]:
+    """(S, R) after the coin c, from a prefix's own: S has bit s iff the lemma
+    passes the leaf p + s over the top coin p, R bit max_cn - x per coin x
+    (proof: _pair_counterexample); (1,) has (-2, 1 << (max_cn - 1))."""
+    return S & (R >> (max_cn - c) | -(1 << c)), R | 1 << (max_cn - c)
+
+
 def _sample_modulus(sample_rate: float) -> int:
     if not 0.0 <= sample_rate <= 1.0:
         raise ValueError("sample rate must be within [0, 1]")
@@ -120,8 +133,10 @@ def _orderly_leaves(values, bits, w, grd, scanned, lo, cap, sampled) -> list[tup
     with x = y = p rejects a leaf c < 2p unless 2p - c is a coin, a
     non-orderly node tries only c = 2p - x for its coins x.  Unscanned, it is
     scanned at the first that the lemma passes, which is dropped if it lies
-    above the new w.  If sampled, each verdict found here, a new w too, is
-    spot-checked.  Leaves take the flag, even in a census of three or four.
+    above the new w.  The conjecture scan, outside its sample, sends a node
+    here only if its lemma mask (_lemma_masks) passes a leaf in range.  If
+    sampled, each verdict found here, a new w too, is spot-checked.  Leaves
+    take the flag, even in a census of three or four.
     """
     p = values[-1]
     p2 = 2 * p
@@ -274,39 +289,57 @@ def _scan_partition(
     # top[d], the largest coin at depth d, leaves room for the shortest
     # requested length >= d; a child at depth d from top[d + 1] up leaves no
     # room for a longer length, so it is a leaf (past the deepest length, 0,
-    # twice over, as a node's loop reads top[depth + 2])
-    top = [max_cn - min(n for n in lengths if n >= d) + d for d in range(lengths[-1] + 1)] + [0, 0]
+    # three times over, as a node's loop reads top[depth + 3])
+    top = [max_cn - min(n for n in lengths if n >= d) + d for d in range(lengths[-1] + 1)] + [0] * 3
     found: dict[int, list[tuple[int, ...]]] = {n: [] for n in lengths}
-    stack = [((1, c2), 2 | 1 << c2, None, None, False)]
+    masks = _lemma_masks(-2, 1 << max_cn - 1, max_cn, c2)
+    stack = [((1, c2), 2 | 1 << c2, *masks, None, None, False, True)]
     while stack:
-        values, bits, w, grd, sampled = stack.pop()
+        values, bits, S, R, w, grd, sampled, scanned = stack.pop()
         depth = len(values) + 1
         p = values[-1]
         if w is None:
             # (1, c2) or an orderly 3-prefix, so the one-point test is exact
             # on its children: the first three marks must be '+', the fourth '-'
             for c in range(p + 1, top[depth] + 1):
-                child = values + (c,)
+                child, masks = values + (c,), _lemma_masks(S, R, max_cn, c)
                 cw = _extend_verdict(child)
                 hit = sample_mod > 0 and _fingerprint(child) % sample_mod == 0
                 if cw is None and depth == 3:
-                    stack.append((child, bits | 1 << c, None, None, False))
+                    stack.append((child, bits | 1 << c, *masks, None, None, False, True))
                 elif cw is not None and depth == 4:
                     cgrd = [0]
                     cw = _scan_from(child, cgrd)
-                    stack.append((child, bits | 1 << c, cw, cgrd, hit))
+                    stack.append((child, bits | 1 << c, *masks, cw, cgrd, hit, True))
                 if hit:
                     _spot_check(child, cw)
             continue
         # values is not orderly, w is its minimal counterexample and grd
-        # reaches it.  A child above w keeps it, so the children stop at w.
-        leaf_from = top[depth + 1]
-        # a child from lo - 1 up has only leaf children; it alone takes the lemma first
-        lo = top[depth + 2]
+        # reaches it (unscanned: its lemma amount, and its parent's table).  A
+        # child above w keeps it, so the children stop at w.  A child from
+        # lo - 1 up has only leaf children, one from lo2 - 2 up only those
+        # and all-leaf children.
+        leaf_from, lo, lo2 = top[depth + 1 : depth + 4]
         for c in range(p + 1, (w if w < leaf_from else leaf_from - 1) + 1):
-            child = values + (c,)
-            cgrd, cw = grd, None if c + 1 < lo else _pair_counterexample(bits, p, c)
-            if cw is None:
+            cS, cR = _lemma_masks(S, R, max_cn, c)
+            leafy, cw = c + 1 >= lo, None
+            if (leafy or not sampled and c + 2 >= lo2) and not S >> c - p & 1:
+                # the lemma rejects child: if leafy, dropped if cS passes no leaf
+                if leafy and not (sampled or cS & (2 << leaf_from - c) - 2):
+                    continue
+                cw = _pair_counterexample(bits, p, c)
+                if not leafy:  # deferred: scanned once a child needs its table
+                    stack.append((values + (c,), bits | 1 << c, cS, cR, cw, grd, False, False))
+                    continue
+                if not (sampled or cS & (2 << min(cw, leaf_from) - c) - 2):
+                    continue  # or none up to the lemma's amount
+            if not scanned:
+                grd = grd[:p]
+                w, scanned = _scan_from(values, grd), True
+            if c > w:
+                break
+            child, cgrd = values + (c,), grd
+            if cw is None or not leafy:
                 cgrd = grd[:c]
                 cw = _scan_from(child, cgrd)
             if sampled:
@@ -314,17 +347,19 @@ def _scan_partition(
             if cw is None:
                 if depth in found:
                     found[depth].append(child)
-            elif c + 1 < lo:
-                stack.append((child, bits | 1 << c, cw, cgrd, sampled))
-            elif 2 * c - p <= (cw if cw < leaf_from else leaf_from):  # a survivor leaf
+            elif not leafy:
+                stack.append((child, bits | 1 << c, cS, cR, cw, cgrd, sampled, True))
+            elif sampled or cS & (2 << min(cw, leaf_from) - c) - 2:  # a survivor leaf
                 found[depth + 1] += _orderly_leaves(
                     child, bits | 1 << c, cw, cgrd, cgrd is not grd, lo, leaf_from, sampled
                 )
-        # a survivor may lie in range
-        if depth in found and leaf_from <= w and leaf_from < 2 * p:
-            found[depth] += _orderly_leaves(
-                values, bits, w, grd, True, leaf_from, top[depth], sampled
-            )
+        if depth in found and leaf_from <= w:
+            # its own leaves p + s, s from first to last, if the lemma passes one
+            first, last = max(leaf_from - p, 1), min(w, top[depth]) - p
+            if sampled or S & (2 << last) - (1 << first):
+                found[depth] += _orderly_leaves(
+                    values, bits, w, grd, scanned, leaf_from, top[depth], sampled
+                )
     # the walk pops nodes out of lexicographic order
     return {n: sorted(found[n]) for n in found}
 

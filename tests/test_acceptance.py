@@ -4,10 +4,11 @@ These are the heavy end-to-end checks: exact named examples, full
 enumerations comparing the fast verdicts against the brute-force oracle,
 the closed-form characterizations over large value ranges, the family
 generators with their guaranteed prefix counterexamples, and the
-pattern-(+++-...-+) scan with family coverage.  The module took 23 s on a
-shared 2-core machine with CPython 3.11.7.  Criteria 3, 4 and 8 take each
-system's oracle verdict from the agreement sweep's prefix-tree walk
-(search._oracle_walk), where each child resumes its parent's oracle table.
+pattern-(+++-...-+) scan with family coverage.  The module took 14-21 s on
+a shared 2-core machine with CPython 3.11.7, criteria 5 and 7 under 0.3 s
+each.  Criteria 3, 4 and 8 take each system's oracle verdict from the
+agreement sweep's prefix-tree walk (search._oracle_walk), where each child
+resumes its parent's oracle table.
 """
 
 import time

@@ -84,6 +84,26 @@ def census_leaf_verdicts(n, max_cn):
     return tuple(leaves)
 
 
+def test_lemma_masks_match_the_lemma_exhaustively():
+    """The lemma's mask S, carried by _lemma_masks from (1,) down every prefix
+    of every system with n <= 7 and cn <= 22, has bit s for s in 1..22
+    exactly when _pair_counterexample passes p + s over the top coin p."""
+    max_cn = 22
+    stack = [((1,), 2, -2, 1 << max_cn - 1)]
+    nodes = 0
+    while stack:
+        values, bits, S, R = stack.pop()
+        p = values[-1]
+        shifts = range(1, max_cn + 1)
+        passed = sum(1 << s for s in shifts if _pair_counterexample(bits, p, p + s) is None)
+        assert S & (2 << max_cn) - 2 == passed, values
+        nodes += 1
+        if len(values) < 7:
+            for c in range(p + 1, max_cn + 1):
+                stack.append((values + (c,), bits | 1 << c, *search._lemma_masks(S, R, max_cn, c)))
+    assert nodes == sum(comb(21, k) for k in range(7))
+
+
 def test_orderly_leaves_match_the_reference_exhaustively(monkeypatch):
     """_orderly_leaves on every node of 3 to 6 values with cn <= 20 that
     the census walks, against brute force: scanned, with its own table, and,
@@ -451,30 +471,38 @@ def test_pattern_census_spot_checks_the_w_of_a_deferred_node(capsys, monkeypatch
     assert main(["enumerate", "--n", "6", "--max", "16", "--sample", "0"]) == 0
 
 
+def count_sweep_work(monkeypatch):
+    """Count the sweeps' oracle scans, two-coin-sum lemma amounts,
+    _orderly_leaves calls and spot-checks."""
+    calls = Counter()
+    for name, key in [
+        ("_scan_from", "scan"),
+        ("_pair_counterexample", "lemma"),
+        ("_orderly_leaves", "settle"),
+        ("_spot_check", "spot"),
+    ]:
+
+        def counted(*args, _kernel=getattr(search, name), _key=key):
+            calls[_key] += 1
+            return _kernel(*args)
+
+        monkeypatch.setattr(f"coinsystems.search.{name}", counted)
+    return calls
+
+
 def test_pattern_census_work_at_the_benchmark_bound(monkeypatch):
-    """Work counters for the census benchmark's walk, n = 7 with c7 <= 30:
-    the oracle scans it runs and the two-coin-sum lemma calls.  A walk that
+    """Work counters for the census benchmark's walk, n = 7 with c7 <= 30, at
+    the default 1% sample: the oracle scans, the lemma amounts, the nodes
+    whose leaves _orderly_leaves settles and the spot-checks.  A walk that
     visited all 475,020 leaves, with a one-point test and a rescan from 1
     under an orderly parent, ran 42,137 scans and 96,668 lemma calls; one
     that scanned every walked 6-prefix and tried the lemma on each leaf up to
     w ran 44,989 scans and 102,344 lemma calls; one that tried every leaf up
     to w of a scanned non-orderly 6-prefix, not only its survivors, ran
     13,506 scans and 73,312 lemma calls."""
-    scan_from, lemma = search._scan_from, search._pair_counterexample
-    calls = Counter()
-
-    def scan(values, grd):
-        calls["scan"] += 1
-        return scan_from(values, grd)
-
-    def pair(bits, y, c):
-        calls["lemma"] += 1
-        return lemma(bits, y, c)
-
-    monkeypatch.setattr("coinsystems.search._scan_from", scan)
-    monkeypatch.setattr("coinsystems.search._pair_counterexample", pair)
+    calls = count_sweep_work(monkeypatch)
     assert sum(pattern_census(7, 30).values()) == comb(29, 6)
-    assert calls == {"scan": 13_506, "lemma": 73_121}
+    assert calls == {"scan": 13_506, "lemma": 73_121, "settle": 22_797, "spot": 516}
 
 
 @pytest.mark.parametrize("n, max_cn, above_w", [(7, 18, 4), (6, 16, 0), (6, 20, 0)])
@@ -868,57 +896,86 @@ def test_conjecture_scan_matches_a_flat_oracle_loop():
     assert [f.system.values for f in conjecture_scan([5, 6, 7, 8], 20)] == expected
 
 
+def scan_reaches(values, w_of):
+    """Whether the conjecture scan walks the prefix values of five or more
+    coins: its 3-prefix is orderly, and each prefix from its 4-prefix up to
+    its parent is not orderly and has a minimal counterexample no smaller
+    than the coin after it."""
+    if w_of(values[:3]) is not None:
+        return False
+    ws = [w_of(values[:k]) for k in range(4, len(values))]
+    return all(w is not None and c <= w for w, c in zip(ws, values[4:]))
+
+
 def test_conjecture_scan_defers_a_rejected_node_until_a_child_needs_it(monkeypatch):
-    """Only a node whose children are all leaves takes the two-coin-sum
-    lemma before a scan; every other node is scanned at once.  A node the
-    lemma rejects is deferred: it is scanned exactly when a leaf up to the
-    lemma's amount passes the lemma and so needs its table, and before any
-    of its leaves is scanned."""
+    """At sample rate 0, a walked node that the two-coin-sum lemma rejects
+    with amount a is deferred when its children are all leaves, or all
+    leaves and nodes with only leaf children.  With lengths 5..8 and
+    c8 <= 24 the first are the 7-prefixes and the nodes with top coin 23,
+    the second the 6-prefixes with top coin at most 22 and the 5-prefixes
+    with top coin 22.  A deferred node is scanned exactly when a child up to
+    a needs its table, and before any child: a leaf needs it when the lemma
+    passes it, and a node when the lemma passes it or, rejecting it with
+    amount b, passes one of its leaves up to b.  No child above the node's
+    true w is scanned."""
     max_cn = 24
-    scan_from, lemma = search._scan_from, search._pair_counterexample
-    scanned, visited = [], set()
+    scan_from = search._scan_from
+    scanned = []
 
     def scan(values, grd):
         scanned.append(values)
         return scan_from(values, grd)
 
-    def pair(bits, y, c):
-        visited.add(tuple(x for x in range(y + 1) if bits >> x & 1) + (c,))
-        return lemma(bits, y, c)
+    def passes(values):
+        return pair_lemma(values, len(values) - 2) is None
+
+    def needs_table(child):
+        b = pair_lemma(child, len(child) - 2)
+        leaves = range(child[-1] + 1, min(max_cn, b or max_cn) + 1)
+        return b is None or any(passes(child + (c,)) for c in leaves)
 
     monkeypatch.setattr("coinsystems.search._scan_from", scan)
-    monkeypatch.setattr("coinsystems.search._pair_counterexample", pair)
-    conjecture_scan([5, 6, 7, 8], max_cn)
+    conjecture_scan([5, 6, 7, 8], max_cn, sample_rate=0)
     order = {values: i for i, values in enumerate(scanned)}
-    first_child_scan: dict[tuple[int, ...], int] = {}
-    for values, i in order.items():
-        first_child_scan.setdefault(values[:-1], i)
+    scanned_children: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for values in scanned:
+        scanned_children.setdefault(values[:-1], []).append(values)
 
-    # below length 8 and the bound, every node has children; a deferred one
-    # has only leaves, as it has seven values or its only child is the bound
-    deferred = [
-        v
-        for v in visited
-        if len(v) < 8 and v[-1] < max_cn and pair_lemma(v, len(v) - 2) is not None
-    ]
-    needed = 0
-    for v in deferred:
-        assert len(v) == 7 or v[-1] == max_cn - 1, v
-        window = range(v[-1] + 1, min(max_cn, pair_lemma(v, len(v) - 2)) + 1)
-        need = any(pair_lemma(v + (c,), len(v) - 1) is None for c in window)
-        assert (v in order) == need, v
-        if need:
-            needed += 1
-            assert order[v] < first_child_scan.get(v, len(scanned)), v
-    assert 0 < needed < len(deferred)
+    w_of = lru_cache(maxsize=None)(search._min_counterexample)
+    counts = Counter()
+    for k in (5, 6, 7):
+        for combo in combinations(range(2, max_cn), k - 1):
+            v = (1,) + combo
+            all_leaf = k == 7 or v[-1] == max_cn - 1
+            a = pair_lemma(v, k - 2) if all_leaf or k == 6 or v[-1] == max_cn - 2 else None
+            if a is None or not scan_reaches(v, w_of):
+                continue
+            if all_leaf:
+                need = any(passes(v + (c,)) for c in range(v[-1] + 1, min(a, max_cn) + 1))
+            else:
+                children = range(v[-1] + 1, min(a, max_cn - 1) + 1)
+                need = any(needs_table(v + (c,)) for c in children)
+                need = need or a >= max_cn and passes(v + (max_cn,))
+            assert (v in order) == need, v
+            counts[all_leaf, need] += 1
+            below = scanned_children.get(v, [])
+            assert all(order[v] < order[u] and u[-1] <= w_of(v) for u in below), v
+    # keyed by (its children are all leaves, scanned)
+    assert counts == {
+        (False, False): 3_008,
+        (False, True): 9,
+        (True, False): 7_864,
+        (True, True): 4,
+    }
 
 
 def test_conjecture_scan_tries_the_lemma_only_where_every_child_is_a_leaf(monkeypatch):
-    """As in the census, the two-coin-sum lemma comes before a scan only on
-    a node whose children are all leaves, or on a leaf.  With c8 <= 24 a
-    node of fewer than seven values takes it only at the top coin 23, whose
-    one child 24 is a leaf; every other node is scanned, and scanned after
-    its parent, which passes it its table."""
+    """The two-coin-sum lemma's amount is computed, before a scan, only for a
+    node whose children are all leaves or nodes with only leaf children, and
+    for a leaf.  With c8 <= 24 a node of fewer than six values takes it only
+    at the top coins 22 and 23, whose children are such nodes or the leaf
+    24, while 6-prefixes take it at any top coin; every other node is
+    scanned, and scanned after its parent, which passes it its table."""
     max_cn = 24
     scan_from, lemma = search._scan_from, search._pair_counterexample
     scanned, tried = [], []
@@ -934,8 +991,8 @@ def test_conjecture_scan_tries_the_lemma_only_where_every_child_is_a_leaf(monkey
     monkeypatch.setattr("coinsystems.search._scan_from", scan)
     monkeypatch.setattr("coinsystems.search._pair_counterexample", pair)
     conjecture_scan([5, 6, 7, 8], max_cn)
-    assert [v for v in tried if len(v) < 7 and v[-1] < max_cn - 1] == []
-    assert {len(v) for v in tried if v[-1] == max_cn - 1} == {5, 6, 7, 8}
+    assert [v for v in tried if len(v) < 6 and v[-1] < max_cn - 2] == []
+    assert {len(v) for v in tried if v[-1] < max_cn - 2} == {6, 7, 8}
     order = {values: i for i, values in enumerate(scanned)}
     # the 4-prefixes start the walk, decided by the one-point test above them
     assert all(order[v[:-1]] < i for v, i in order.items() if len(v) > 4)
@@ -963,28 +1020,14 @@ def test_conjecture_scan_stops_at_w_when_a_leaf_triggers_the_scan(monkeypatch):
 
 def test_conjecture_scan_work_at_the_benchmark_bound(monkeypatch):
     """Work counters for the scan benchmark's walk, lengths 5..8 with
-    c8 <= 36: the oracle scans and the two-coin-sum lemma calls it runs, and
-    the nodes whose leaves _orderly_leaves settles."""
-    scan_from, lemma, leaves = search._scan_from, search._pair_counterexample, search._orderly_leaves
-    calls = Counter()
-
-    def scan(values, grd):
-        calls["scan"] += 1
-        return scan_from(values, grd)
-
-    def pair(bits, y, c):
-        calls["lemma"] += 1
-        return lemma(bits, y, c)
-
-    def settle(*args):
-        calls["settle"] += 1
-        return leaves(*args)
-
-    monkeypatch.setattr("coinsystems.search._scan_from", scan)
-    monkeypatch.setattr("coinsystems.search._pair_counterexample", pair)
-    monkeypatch.setattr("coinsystems.search._orderly_leaves", settle)
+    c8 <= 36, at the default 1% sample: the oracle scans, the lemma amounts,
+    the nodes whose leaves _orderly_leaves settles and the spot-checks.  A
+    walk that tried the lemma one leaf at a time, with no mask, and scanned
+    every node with children that are not all leaves ran 31,689 scans,
+    179,452 lemma calls and 70,130 _orderly_leaves calls."""
+    calls = count_sweep_work(monkeypatch)
     conjecture_scan([5, 6, 7, 8], 36)
-    assert calls == {"scan": 31_689, "lemma": 179_452, "settle": 70_130}
+    assert calls == {"scan": 8_161, "lemma": 27_507, "settle": 838, "spot": 1_722}
 
 
 def test_the_walks_need_no_frame_per_coin():
