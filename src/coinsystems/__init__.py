@@ -15,13 +15,10 @@ from .core import (
     Representation,
     ResourceLimitError,
     greedy_count,
-    greedy_representation,
-    lex_smallest_optimal,
     opt_count,
 )
 from .canonicality import (
     InternalDisagreementError,
-    disjoint_support_check,
     gap_filter,
     is_orderly,
     jump_filter,
@@ -70,7 +67,6 @@ __all__ = [
     "agreement_sweep",
     "classify6",
     "conjecture_scan",
-    "disjoint_support_check",
     "family_membership",
     "fixed_gap_prefix_check",
     "gap_filter",
@@ -79,12 +75,10 @@ __all__ = [
     "gen_F",
     "gen_fixed_gap",
     "greedy_count",
-    "greedy_representation",
     "implied_pattern",
     "is_orderly",
     "is_totally_orderly",
     "jump_filter",
-    "lex_smallest_optimal",
     "min_counterexample_oracle",
     "one_point_check",
     "opt_count",

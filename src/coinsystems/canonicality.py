@@ -3,13 +3,8 @@
 A coin system is *orderly* when the greedy representation is optimal for
 every amount.  The oracle scans amounts upward keeping greedy counts, which
 equal optimal ones below the first counterexample; that lies below c(n-1)+cn
-(Kozen & Zaks), so the scan is finite.  What is left of a long stretch of
-amounts to check, past its first _LOOP amounts, is compared a block at a
-time over table slices: each comparison reads only amounts below the
-largest coin in play, all already tabulated, so a block needs none of its
-own entries, and a coin d is compared only where v - d >= c2: below,
-greedy pays v - d in ones, more coins than v - p takes, so d cannot beat
-greedy.  The stretch's length alone picks the path.
+(Kozen & Zaks), so the scan is finite.  The list scan tries the amounts
+it checks one at a time; only the lanes below compare blocks of them.
 
 A one-shot scan of a large window, whose table nobody resumes, holds its
 greedy counts as B-byte little-endian lanes of one bytearray and checks a
@@ -44,8 +39,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import partial
-from itertools import compress
-from operator import lt
 
 from .core import (
     CoinSystem,
@@ -70,11 +63,8 @@ def _ceil_div(a: int, b: int) -> int:
 
 
 _CHUNK = 1 << 14  # amounts appended per list built where no amount can fail
-# amounts of a check region tried one by one before the blocks: large check
-# scans time alike from 16 to 128, and 64 keeps every region of the sweeps
-# (at most 39 amounts at their bounds) on the loop; slicing every region
-# made the sweeps 1.5-2.9x slower.  The lanes' first block has this many
-# offsets: 64 to 4,096 timed alike on their windows
+# offsets in the first block of a lane scan's check region; later blocks
+# double: 64 to 4,096 timed alike on the lanes' windows
 _LOOP = 64
 # one-shot windows c(n-1)+cn of at least this many amounts go to the lanes:
 # on the benchmark's check systems the lanes took 1.4-1.5x the list scan's
@@ -97,18 +87,8 @@ def _scan_from(values: tuple[int, ...], grd: list[int]) -> int | None:
     below p up to the next coin cannot fail: they are filled, not checked.
 
     The check region of p, the amounts p + m below p plus the coin below p,
-    is tried one amount at a time for its first _LOOP amounts; what is left
-    of a long region goes in blocks of offsets m that double from _LOOP up
-    to _CHUNK.  Such a check reads grd[p-d+m] and grd[m], both below p, so a
-    block is checked whole before its entries are appended: for each coin d
-    above the block's first offset, in descending order, the first m below d
-    with grd[p-d+m] < grd[m] is found over table slices (searched for only
-    when any m fails), and the smallest such m over all coins is the first
-    failure.  Which path runs depends only on the region's length.  The
-    amounts below c2 are paid in ones, so they are appended as u itself, and
-    a block compares a coin d only from m = c2 + d - p, as below it
-    grd[p-d+m] = p-d+m > m >= grd[m]; a coin left with no m is skipped, not
-    the last tried, since a smaller coin starts lower.
+    is tried one amount at a time.  The amounts below c2 are paid in ones,
+    so they are appended as u itself.
     """
     hi = values[-2] + values[-1]
     if len(grd) < values[1]:
@@ -119,9 +99,7 @@ def _scan_from(values: tuple[int, ...], grd: list[int]) -> int | None:
         p = values[k]
         end = values[k + 1] if k + 1 < len(values) else hi
         below = values[k - 1 : 0 : -1]
-        top = min(p + values[k - 1], end)
-        long = top - v > _LOOP
-        for v in range(v, v + _LOOP if long else top):
+        for v in range(v, min(p + values[k - 1], end)):
             m = v - p
             g = grd[m]
             grd.append(g + 1)
@@ -130,24 +108,6 @@ def _scan_from(values: tuple[int, ...], grd: list[int]) -> int | None:
                     break
                 if grd[v - d] < g:
                     return v
-        if long:
-            m0, size = len(grd) - p, _LOOP
-            while m0 < top - p:
-                m1 = hit = min(m0 + size, top - p)
-                for d in below:
-                    lim = min(d, hit)
-                    if lim <= m0:
-                        break
-                    a = max(m0, values[1] + d - p)
-                    if a >= lim:
-                        continue
-                    shifted, block = grd[p - d + a : p - d + lim], grd[a:lim]
-                    if any(map(lt, shifted, block)):
-                        hit = next(compress(range(a, lim), map(lt, shifted, block)))
-                grd += [g + 1 for g in grd[m0 : min(hit + 1, m1)]]
-                if hit < m1:
-                    return p + hit
-                m0, size = m1, min(2 * size, _CHUNK)
         if end == hi:
             return None
         while len(grd) < end:
@@ -229,15 +189,22 @@ def _scan_lanes(values: tuple[int, ...], grd: bytearray) -> int | None:
     first counterexample, or None when orderly.
 
     The lanes are B bytes wide, B and the stretch's cap G taken from
-    _lane_width.  The regions and the coins tried are _scan_from's, with
-    every check region in blocks of offsets that double from _LOOP and the
-    same c2 bound, each coin compared over a block in one _first_below.  A
-    check reads only amounts below p, so a region is appended by _lane_fill
-    once all its blocks pass, with the amounts after it up to the next
-    coin; the scan ends where it fails.  The coin below the top fills only
-    its check region, which ends by c(n-2)+c(n-1): the top coin's checks
-    read what lies past it through _greedy_lanes, so grd ends with at most
-    min(cn, c(n-2)+c(n-1)) lanes of greedy counts from amount 0 up.
+    _lane_width.  The regions and the coins tried are _scan_from's, but a
+    check region goes in blocks of offsets m = v - p that double from
+    _LOOP.  A check reads grd[p-d+m] and grd[m], both below p, so a block
+    is checked whole before its entries are appended: for each coin d
+    above the block's first offset, in descending order, one _first_below
+    finds the first m below d with grd[p-d+m] < grd[m], and the smallest
+    such m over the coins is the first failure.  A coin d is compared only
+    from m = c2 + d - p: the amounts below c2 are paid in ones, so below it
+    grd[p-d+m] = p-d+m > m >= grd[m].  A coin left with no m is skipped,
+    not the last tried, since a smaller coin starts lower.  A region is
+    appended by _lane_fill once all its blocks pass, with the amounts after
+    it up to the next coin; the scan ends where it fails.  The coin below
+    the top fills only its check region, which ends by c(n-2)+c(n-1): the
+    top coin's checks read what lies past it through _greedy_lanes, so grd
+    ends with at most min(cn, c(n-2)+c(n-1)) lanes of greedy counts from
+    amount 0 up.
     """
     c2, t, top = values[1], values[-2], values[-1]
     last = len(values) - 1
@@ -534,8 +501,8 @@ def jump_filter(system: CoinSystem) -> bool:
 @dataclass(frozen=True)
 class SupportCheck:
     """Whether greedy and every optimal form of the minimal counterexample
-    use disjoint coin sets.  Status is 'vacuous' for orderly systems,
-    otherwise 'holds' or 'violated' with the offending optimal form."""
+    use disjoint coin sets: status 'holds', or 'violated' with the
+    offending optimal form."""
 
     status: str
     value: int | None = None
@@ -550,19 +517,9 @@ def _optimal_count_vectors(values: tuple[int, ...], w: int) -> list[tuple[int, .
     return sorted(_optimal_forms(values, w, partial(_greedy_count, values), lex=False))
 
 
-def disjoint_support_check(system: CoinSystem) -> SupportCheck:
-    """At the minimal counterexample, greedy and optimal never share a coin.
-
-    Verified against every optimal representation by exhaustive enumeration.
-    """
-    w = _min_counterexample(system.values)
-    if w is None:
-        return SupportCheck(status="vacuous")
-    return _support_at(system, w)
-
-
 def _support_at(system: CoinSystem, w: int) -> SupportCheck:
-    """disjoint_support_check at w, the system's minimal counterexample."""
+    """At w, the system's minimal counterexample, greedy and optimal never
+    share a coin: checked against every optimal form, by exhaustive walk."""
     values = system.values
     greedy_counts = _greedy_counts(values, w)
     greedy = Representation(system, tuple(greedy_counts))

@@ -212,12 +212,6 @@ def _lex_smallest_counts(
 # ---------- public operations ----------
 
 
-def greedy_representation(system: CoinSystem, v: int) -> Representation:
-    """Greedy counts for amount v: repeatedly take the largest coin <= rest."""
-    _check_amount(v)
-    return Representation(system, tuple(_greedy_counts(system.values, v)))
-
-
 def greedy_count(system: CoinSystem, v: int) -> int:
     """Number of coins the greedy algorithm spends on amount v."""
     _check_amount(v)
@@ -235,11 +229,3 @@ def opt_count(system: CoinSystem, v: int) -> int:
     _check_amount(v)
     _check_cap(v)
     return _opt_table(system.values, v)[v]
-
-
-def lex_smallest_optimal(system: CoinSystem, v: int) -> Representation:
-    """The lexicographically smallest among all optimal representations of v."""
-    _check_amount(v)
-    _check_cap(v)
-    counts = _lex_smallest_counts(system.values, v, _opt_table(system.values, v).__getitem__)
-    return Representation(system, tuple(counts))

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from coinsystems import (
     CoinSystem,
-    disjoint_support_check,
     gap_filter,
     is_orderly,
     jump_filter,
@@ -29,6 +28,7 @@ from coinsystems.canonicality import (
     _pair_counterexample,
     _scan_from,
     _scan_lanes,
+    _support_at,
     _witness,
 )
 from coinsystems.core import _greedy_count, _opt_table
@@ -100,12 +100,12 @@ def test_scan_matches_reference_exhaustively(loop, monkeypatch):
     orderly or its new coin c is at most the parent's w; the table holds
     greedy counts up to w, or over the whole window when orderly.  Up to
     cn <= 18, every cut of the system's own table resumes to the same w and
-    table too.  With one amount checked one by one, every longer check
-    region goes through the blocks, and the lanes' blocks start at one
-    offset.  The one-shot oracle, sent to the lanes whatever the window,
-    finds the same w, and its table holds greedy counts and stops by
-    min(cn, c(n-2)+c(n-1)), past which the top coin's checks read the
-    stretch rule."""
+    table too.  The list scan tries every amount of a check region.  The
+    one-shot oracle, sent to the lanes whatever the window, finds the same
+    w, and its table holds greedy counts and stops by min(cn, c(n-2)+c(n-1)),
+    past which the top coin's checks read the stretch rule.  With _LOOP at
+    1 the lanes' blocks start at one offset and double from there, so a
+    region spans several blocks where at 64 it fits in one."""
     if loop:
         monkeypatch.setattr("coinsystems.canonicality._LOOP", loop)
     monkeypatch.setattr("coinsystems.canonicality._LANES", 0)
@@ -146,14 +146,16 @@ def test_scan_matches_reference_exhaustively(loop, monkeypatch):
         (1, 2, 999, 1000),
         (1, 5, 10, 25, 50, 100, 2990),
         (1, 5, 21, 81, 297, 1237, 4857),  # grown coin by coin by the one-point test
-        # long check regions, with the default _LOOP of 64 (blocks of offsets
-        # 64-127, 128-255, 256-511, ...): first failures at p + m = 300 + 100,
-        # past the amounts checked one by one; 900 + 300, past a doubled
-        # block; 273 + 127, on a block's last offset; and an orderly system
-        # with four coins above m for the first 300 offsets of 1500's region
+        # long check regions, in the lanes' blocks of offsets 0-63, 64-191,
+        # 192-447, ... with the default _LOOP of 64: first failures at
+        # p + m = 300 + 100, past the first block; 900 + 300, past a doubled
+        # block; 273 + 127, inside one; 209 + 191, on a block's last offset;
+        # and an orderly system with four coins above m for the first 300
+        # offsets of 1500's region
         (1, 200, 300),
         (1, 600, 900),
         (1, 200, 273),
+        (1, 200, 209),
         (1, 300, 600, 900, 1200, 1500),
         # top coin above 2c(n-1) + c(n-2), so the lanes' top coin reads the
         # stretch past their table: first failures in the top coin's blocks
@@ -162,32 +164,39 @@ def test_scan_matches_reference_exhaustively(loop, monkeypatch):
         (1, 3, 200, 700),
         (1, 200, 800),
         # a coin d is compared only from offset c2 + d - p: the first failure
-        # 1068 = 699 + 369 lies exactly on that bound for d = 534, and in the
-        # block of offsets 64-127 of 432's region 357 has no offset left
-        # while 252 fails at 504 = 432 + 72
+        # 1068 = 699 + 369 lies exactly on that bound for d = 534, as do
+        # 400 = 209 + 191 for d = 200 and 504 = 432 + 72 for d = 252; in the
+        # first block of 432's region 357 has no offset left while 240 fails
+        # at 480 = 432 + 48; and in the first block of 192's region 128's
+        # bound is the block's end
         (1, 534, 579, 589, 590, 604, 699),
         (1, 252, 357, 432),
+        (1, 240, 357, 432),
+        (1, 128, 192),
     ],
 )
 def test_scan_fills_wide_gaps(values, chunk, monkeypatch):
     """Amounts past p plus the coin below p are filled, not checked, in
-    chunks of any size; the scan still finds the first amount where greedy
-    beats the full DP.  A block of a long check region tries only the coins
-    that can still lower its first failure, each over at least one offset,
-    and a coin d only from offset c2 + d - p on: below it p - d + m < c2 is
-    paid in ones, so grd[p-d+m] = p - d + m > m >= grd[m] cannot fail.  A
-    coin with no offset left is skipped while a smaller coin, whose bound is
-    lower, is still tried.  The lanes find the same amount, and their table
-    holds greedy counts and stops by min(cn, c(n-2)+c(n-1))."""
+    chunks of any size; the list scan still finds the first amount where
+    greedy beats the full DP.  The lanes find the same amount, and their
+    table holds greedy counts and stops by min(cn, c(n-2)+c(n-1)).  A lane
+    block of a long check region tries only the coins that can still lower
+    its first failure, each over at least one offset, and a coin d only
+    from offset c2 + d - p on: below it p - d + m < c2 is paid in ones, so
+    grd[p-d+m] = p - d + m > m >= grd[m] cannot fail.  A coin with no
+    offset left is skipped while a smaller coin, whose bound is lower, is
+    still tried."""
+    import coinsystems.canonicality as canonicality
+
     if chunk:
         monkeypatch.setattr("coinsystems.canonicality._CHUNK", chunk)
+    first_below = canonicality._first_below
 
-    def nonempty_any(comparisons):
-        comparisons = list(comparisons)
-        assert comparisons
-        return any(comparisons)
+    def nonempty_first_below(x, grd, m, n, guard, b):
+        assert n >= 1
+        return first_below(x, grd, m, n, guard, b)
 
-    monkeypatch.setattr("coinsystems.canonicality.any", nonempty_any, raising=False)
+    monkeypatch.setattr("coinsystems.canonicality._first_below", nonempty_first_below)
     hi = values[-2] + values[-1]
     opt = _opt_table(values, hi - 1)
     greedy = [ref_greedy_count(values, u) for u in range(hi)]
@@ -202,23 +211,16 @@ def test_scan_fills_wide_gaps(values, chunk, monkeypatch):
 
 
 def test_block_comparisons_start_where_greedy_stops_paying_in_ones(monkeypatch):
-    """The blocks compare a coin d only where v - d >= c2, so the slowest
-    check of the benchmark's queries stream makes a handful of comparisons
-    (292,567 with every coin compared from the block's first offset), and a
-    system with c2 = 3, where the bound never passes a block's first offset,
-    makes as many as without it.  The lanes take the same bound: a coin is
-    compared over a block in one operation, 5 of them on the first system
-    and 110 on the second, each over the whole stretch of the block it
-    checks.  Counts repeat exactly; times do not."""
+    """The lanes compare a coin d only where v - d >= c2, each over a block
+    in one operation, so the slowest check of the benchmark's queries
+    stream makes 5 comparisons, and a system with c2 = 3, where the bound
+    never passes a block's first offset, makes 110, each over the whole
+    stretch of the block it checks.  The list scan, which tries every
+    amount, finds the same verdicts.  Counts repeat exactly; times do not."""
     import coinsystems.canonicality as canonicality
 
     count = lanes = 0
     first_below = canonicality._first_below
-
-    def counting_lt(a, b):
-        nonlocal count
-        count += 1
-        return a < b
 
     def counting_first_below(x, grd, m, n, guard, b):
         nonlocal count, lanes
@@ -227,14 +229,9 @@ def test_block_comparisons_start_where_greedy_stops_paying_in_ones(monkeypatch):
 
     slow = (1, 53350, 57904, 58860, 58901, 60348, 69817)
     small_c2 = (1, 3, 9, 32, 86, 254, 721, 2290, 8888, 24120, 91179)
-    monkeypatch.setattr("coinsystems.canonicality.lt", counting_lt)
     assert _scan_from(slow, [0]) == 106_700
-    assert count <= 100
-    count = 0
     assert _scan_from(small_c2, [0]) is None
-    assert count == 52_092
     monkeypatch.setattr("coinsystems.canonicality._first_below", counting_first_below)
-    count = 0
     assert _min_counterexample(slow) == 106_700
     assert (count, lanes) == (5, 23_465)
     count = lanes = 0
@@ -377,11 +374,12 @@ def _dp_first_failure(values):
 )
 @settings(max_examples=100, deadline=None)
 def test_long_regions_match_the_dp_and_resume(parent, data):
-    """With c2 >= 65 the check regions outlast the amounts tried one by one,
-    so the blocks and their bound c2 + d - p decide.  The full scan, the
-    one-shot oracle and the lanes find the DP's first failure, and a child
-    resumed from its parent's table cut at its new coin builds the same w
-    and table as a scan from amount 0."""
+    """With c2 >= 65 the check regions outlast the lanes' first block, so
+    their doubled blocks and the bound c2 + d - p decide there, while the
+    list scan tries every amount.  The full scan, the one-shot oracle and
+    the lanes find the DP's first failure, and a child resumed from its
+    parent's table cut at its new coin builds the same w and table as a
+    scan from amount 0."""
     grd = [0]
     pw = _scan_from(parent, grd)
     assert pw == _min_counterexample(parent) == lane_scan(parent)[0] == _dp_first_failure(parent)
@@ -713,15 +711,11 @@ def test_filters_never_reject_orderly_systems(values):
 
 
 def test_disjoint_support_known_values():
-    check = disjoint_support_check(CoinSystem((1, 3, 4)))
+    check = _support_at(CoinSystem((1, 3, 4)), 6)
     assert check.status == "holds"
     assert check.value == 6
 
-    check = disjoint_support_check(CoinSystem((1, 5, 10, 25)))
-    assert check.status == "vacuous"
-    assert check.value is None
-
-    check = disjoint_support_check(CoinSystem((1, 5, 15, 20)))
+    check = _support_at(CoinSystem((1, 5, 15, 20)), 30)
     assert check.status == "holds"
     assert check.value == 30
     assert check.greedy.counts == (0, 2, 0, 1)
@@ -733,11 +727,9 @@ def test_disjoint_support_known_values():
 @settings(max_examples=100, deadline=None)
 def test_disjoint_support_over_every_optimal(values):
     """The check covers all optimal vectors, not one arbitrary choice."""
-    check = disjoint_support_check(CoinSystem(values))
     w = ref_min_counterexample(values)
-    if w is None:
-        assert check.status == "vacuous"
-        return
+    assume(w is not None)
+    check = _support_at(CoinSystem(values), w)
     assert check.status == "holds"
     greedy = check.greedy.counts
     for opt in ref_all_optimal(values, w):

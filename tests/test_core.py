@@ -14,12 +14,11 @@ from coinsystems import (
     Representation,
     ResourceLimitError,
     greedy_count,
-    greedy_representation,
     is_orderly,
-    lex_smallest_optimal,
     min_counterexample_oracle,
     opt_count,
 )
+from coinsystems.core import _greedy_counts, _lex_smallest_counts, _opt_table
 
 from bruteforce import (
     coin_values,
@@ -36,7 +35,7 @@ def test_public_names_do_not_grow():
     """A ratchet on the package's public names: new helpers stay private."""
     import coinsystems
 
-    assert len(coinsystems.__all__) <= 38
+    assert len(coinsystems.__all__) <= 35
     assert not [name for name in coinsystems.__all__ if name.startswith("_")]
 
 
@@ -113,15 +112,11 @@ def test_pattern_validation():
 
 def test_greedy_known_values():
     c = CoinSystem((1, 5, 15, 20))
-    rep = greedy_representation(c, 30)
-    assert rep.counts == (0, 2, 0, 1)
-    assert rep.size() == 3
-    assert rep.value() == 30
+    assert _greedy_counts(c.values, 30) == [0, 2, 0, 1]
     assert greedy_count(c, 30) == 3
 
-    c = CoinSystem((1, 3, 4))
-    assert greedy_representation(c, 0).counts == (0, 0, 0)
-    assert greedy_representation(c, 6).counts == (2, 0, 1)
+    assert _greedy_counts((1, 3, 4), 0) == [0, 0, 0]
+    assert _greedy_counts((1, 3, 4), 6) == [2, 0, 1]
 
     assert greedy_count(CoinSystem((1, 2, 5, 6)), 10) == 3
 
@@ -160,8 +155,6 @@ def test_opt_respects_value_cap(monkeypatch):
     assert opt_count(c, 10) == 5
     with pytest.raises(ResourceLimitError):
         opt_count(c, 11)
-    with pytest.raises(ResourceLimitError):
-        lex_smallest_optimal(c, 11)
     assert min_counterexample_oracle(CoinSystem((1, 5, 6))) == 10
     with pytest.raises(ResourceLimitError):
         min_counterexample_oracle(CoinSystem((1, 5, 7)))
@@ -175,12 +168,18 @@ def test_opt_respects_value_cap(monkeypatch):
 # ---------- lexicographic order ----------
 
 
+def lex_smallest(values, v):
+    """The lexicographically smallest optimal counts of v, as the witness
+    walk builds them, looking up a DP table's optimal counts below v."""
+    return tuple(_lex_smallest_counts(values, v, _opt_table(values, v).__getitem__))
+
+
 def test_lex_smallest_known_values():
-    c = CoinSystem((1, 3, 4))
-    assert lex_smallest_optimal(c, 9).counts == (0, 3, 0)
-    assert lex_smallest_optimal(c, 1).counts == (1, 0, 0)
-    assert lex_smallest_optimal(c, 6).counts == (0, 2, 0)
-    assert lex_smallest_optimal(c, 0).counts == (0, 0, 0)
+    c = (1, 3, 4)
+    assert lex_smallest(c, 9) == (0, 3, 0)
+    assert lex_smallest(c, 1) == (1, 0, 0)
+    assert lex_smallest(c, 6) == (0, 2, 0)
+    assert lex_smallest(c, 0) == (0, 0, 0)
 
 
 def test_lex_smallest_matches_reference_exhaustively():
@@ -189,9 +188,8 @@ def test_lex_smallest_matches_reference_exhaustively():
     for n in range(1, 6):
         for rest in combinations(range(2, 11), n - 1):
             values = (1, *rest)
-            c = CoinSystem(values)
             for v in range(20):
-                assert lex_smallest_optimal(c, v).counts == ref_lex_smallest_optimal(values, v)
+                assert lex_smallest(values, v) == ref_lex_smallest_optimal(values, v)
 
 
 # ---------- properties against the reference implementations ----------
@@ -202,9 +200,9 @@ def test_lex_smallest_matches_reference_exhaustively():
 @settings(max_examples=100)
 def test_greedy_matches_reference(values, v):
     """Greedy counts agree with repeated subtraction and recover v."""
-    rep = greedy_representation(CoinSystem(values), v)
-    assert rep.counts == ref_greedy_counts(values, v)
-    assert rep.value() == v
+    counts = _greedy_counts(values, v)
+    assert tuple(counts) == ref_greedy_counts(values, v)
+    assert sum(c * x for c, x in zip(values, counts)) == v
 
 
 @pytest.mark.property_based
@@ -227,8 +225,7 @@ def test_opt_matches_reference(values, v):
 @settings(max_examples=100, deadline=None)
 def test_lex_smallest_matches_reference(values, v):
     """The lexicographic minimum over all optimal representations."""
-    c = CoinSystem(values)
-    rep = lex_smallest_optimal(c, v)
-    assert rep.counts == ref_lex_smallest_optimal(values, v)
-    assert rep.size() == opt_count(c, v)
-    assert rep.value() == v
+    counts = lex_smallest(values, v)
+    assert counts == ref_lex_smallest_optimal(values, v)
+    assert sum(counts) == opt_count(CoinSystem(values), v)
+    assert sum(c * x for c, x in zip(values, counts)) == v
